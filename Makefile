@@ -110,13 +110,17 @@ bench-baseline:
 	BENCH_CASCADE_JSON=BENCH_cascade.json $(GO) test -run TestWriteCascadeBenchBaseline -v .
 	BENCH_SHARD_JSON=BENCH_shard.json $(GO) test -run TestWriteShardBenchBaseline -v .
 
-# bench-compare diffs a saved baseline against a fresh run:
-#   make bench-compare OLD=BENCH_parallel.json NEW=BENCH_parallel.new.json
-OLD ?= BENCH_parallel.json
-NEW ?= BENCH_parallel.new.json
+# bench-compare diffs a committed baseline against a fresh run written
+# to a .new.json path, e.g.
+#   BENCH_PIPELINE_JSON=BENCH_pipeline.new.json go test -run TestWriteStreamBenchBaseline .
+#   make bench-compare OLD=BENCH_cascade.json NEW=BENCH_cascade.new.json
+OLD ?= BENCH_pipeline.json
+NEW ?= BENCH_pipeline.new.json
 bench-compare:
 	$(GO) run ./cmd/benchdiff $(OLD) $(NEW)
 
+# clean removes only untracked outputs: the committed BENCH_obs, _pipeline,
+# _cascade and _shard baselines stay.
 clean:
-	rm -f BENCH_obs.json BENCH_parallel.json BENCH_parallel.new.json BENCH_pipeline.json BENCH_pipeline.new.json BENCH_cascade.json BENCH_cascade.new.json BENCH_shard.json BENCH_shard.new.json
+	rm -f BENCH_*.new.json BENCH_parallel.json
 	$(GO) clean ./...

@@ -535,6 +535,11 @@ func (f *FreePhish) pollOnce(now time.Time) (err error) {
 		}
 		fresh = append(fresh, su)
 	}
+	if len(fresh) == 0 {
+		// With no item the graph would emit, journal, and apply nothing;
+		// most cycles of a long study are empty, so skip building it.
+		return nil
+	}
 	p := pipe.New(context.Background(), pipe.Options{
 		Name: "poll", Registry: f.Metrics.Registry,
 		OnEmit: journalEmit(f.Metrics.Journal, "poll"),

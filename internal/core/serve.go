@@ -144,7 +144,8 @@ func (f *FreePhish) startInproc() error {
 		rt.Handle(host, f.chaos(string(plat), true, h))
 		endpoints[plat] = "http://" + host
 	}
-	client := &http.Client{Transport: rt, Timeout: 10 * time.Second}
+	// No Timeout: the handler runs on the caller's goroutine, so a deadline cuts nothing short, yet arms a timer per request.
+	client := &http.Client{Transport: rt}
 	f.wirePipeline("http://web.inproc", endpoints, client)
 	f.world = world.WithJournal(
 		world.WithRetry(faults.WrapWorld(world.Inproc(f.Sim), f.injector), f.retryPol),

@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"freephish/internal/crawler"
+	"freephish/internal/obs"
 	"freephish/internal/world"
 )
 
@@ -137,5 +138,53 @@ func TestStudyDeterminismAcrossQueueDepths(t *testing.T) {
 	for _, c := range [][2]int{{1, 1}, {8, 64}} {
 		jsonl, stats := run(c[0], c[1], BackendHTTP)
 		compare(fmt.Sprintf("http workers=%d depth=%d", c[0], c[1]), baseJSONL, jsonl, baseStats, stats)
+	}
+}
+
+// silentStream polls the real platforms and streams none of what it sees,
+// so every cycle of the study is empty.
+type silentStream struct {
+	inner world.URLStream
+	polls int
+}
+
+func (s *silentStream) Poll(now time.Time) ([]crawler.StreamedURL, error) {
+	s.polls++
+	_, err := s.inner.Poll(now)
+	return nil, err
+}
+
+// TestEmptyCycleBuildsNoPipe: a cycle with no fresh URL would emit,
+// journal and apply nothing, so it must not build the pipe graph at all.
+// A study whose every cycle is empty still counts each poll but never
+// registers a freephish_pipe_* instrument.
+func TestEmptyCycleBuildsNoPipe(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.Seed = 5
+	cfg.Scale = 0.002
+	cfg.TrainPerClass = 60
+	cfg.Duration = 24 * time.Hour
+	cfg.Registry = obs.NewRegistry()
+	ss := &silentStream{}
+	f := New(cfg)
+	f.streamWrap = func(s world.URLStream) world.URLStream {
+		ss.inner = s
+		return ss
+	}
+	if _, err := f.Run(); err != nil {
+		t.Fatal(err)
+	}
+	cycles := int(cfg.Duration / cfg.PollInterval)
+	if ss.polls != cycles || f.Stats().Polls != cycles {
+		t.Fatalf("stream polled %d times, Stats.Polls = %d, want %d cycles", ss.polls, f.Stats().Polls, cycles)
+	}
+	var b strings.Builder
+	if err := cfg.Registry.WritePrometheus(&b); err != nil {
+		t.Fatal(err)
+	}
+	for _, line := range strings.Split(b.String(), "\n") {
+		if strings.HasPrefix(line, "freephish_pipe_") {
+			t.Fatalf("empty cycles registered a pipe series: %s", line)
+		}
 	}
 }

@@ -183,11 +183,19 @@ func TestSnapshotContextCancelInterruptsBackoff(t *testing.T) {
 
 // TestFetcherConcurrentSnapshots drives one shared Fetcher (with a
 // shared retry policy) from many goroutines — the shape the pipeline's
-// probe pool uses — so `go test -race` can vet the whole path.
+// probe pool uses — so `go test -race` can vet the whole path. Every
+// fifth call to a host answers 503. The schedule is kept per host, and
+// each goroutine owns one host, so no snapshot meets two 503s in a row
+// however the goroutines interleave.
 func TestFetcherConcurrentSnapshots(t *testing.T) {
-	var calls atomic.Int64
+	var mu sync.Mutex
+	calls := map[string]int{}
 	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if calls.Add(1)%5 == 0 {
+		mu.Lock()
+		calls[r.Host]++
+		fail := calls[r.Host]%5 == 0
+		mu.Unlock()
+		if fail {
 			http.Error(w, "unavailable", http.StatusServiceUnavailable)
 			return
 		}
@@ -197,10 +205,10 @@ func TestFetcherConcurrentSnapshots(t *testing.T) {
 
 	f := NewFetcher(srv.URL)
 	f.Retry = &retry.Policy{MaxAttempts: 4, Sleep: retry.NoSleep, BreakerThreshold: 3}
-	var mu sync.Mutex
+	var observeMu sync.Mutex
 	f.Observe = func(status, attempts int, wall time.Duration, err error) {
-		mu.Lock()
-		defer mu.Unlock()
+		observeMu.Lock()
+		defer observeMu.Unlock()
 	}
 
 	var wg sync.WaitGroup

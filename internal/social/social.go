@@ -173,8 +173,9 @@ type StatusResponse struct {
 func (n *Network) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	switch {
 	case r.URL.Path == "/posts":
+		q := r.URL.Query()
 		since := time.Time{}
-		if s := r.URL.Query().Get("since"); s != "" {
+		if s := q.Get("since"); s != "" {
 			t, err := time.Parse(time.RFC3339, s)
 			if err != nil {
 				http.Error(w, "bad since parameter", http.StatusBadRequest)
@@ -183,7 +184,7 @@ func (n *Network) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 			since = t
 		}
 		offset := 0
-		if o := r.URL.Query().Get("offset"); o != "" {
+		if o := q.Get("offset"); o != "" {
 			v, err := strconv.Atoi(o)
 			if err != nil || v < 0 {
 				http.Error(w, "bad offset parameter", http.StatusBadRequest)

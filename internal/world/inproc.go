@@ -5,7 +5,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
-	"net/http/httptest"
+	"strconv"
 )
 
 // Inproc returns the in-process adapter set: every port is the Sim
@@ -58,22 +58,37 @@ func (t *HandlerTransport) RoundTrip(req *http.Request) (*http.Response, error) 
 	if h == nil {
 		return nil, fmt.Errorf("world: no handler for host %q", req.URL.Host)
 	}
-	rec := httptest.NewRecorder()
-	if err := serveAborting(h, rec, req); err != nil {
+	w := &inprocWriter{header: make(http.Header)}
+	if err := serveAborting(h, w, req); err != nil {
 		return nil, err
 	}
-	resp := rec.Result()
-	if resp.ContentLength > int64(rec.Body.Len()) {
-		resp.Body = io.NopCloser(&shortBody{r: bytes.NewReader(rec.Body.Bytes())})
+	if w.code == 0 {
+		w.code = http.StatusOK
 	}
-	resp.Request = req
+	resp := &http.Response{
+		Status:        strconv.Itoa(w.code) + " " + http.StatusText(w.code),
+		StatusCode:    w.code,
+		Proto:         "HTTP/1.1",
+		ProtoMajor:    1,
+		ProtoMinor:    1,
+		Header:        w.header,
+		Body:          &w.body,
+		ContentLength: int64(w.body.Len()),
+		Request:       req,
+	}
+	if cl := w.header.Get("Content-Length"); cl != "" {
+		if n, err := strconv.ParseInt(cl, 10, 64); err == nil && n > resp.ContentLength {
+			resp.ContentLength = n
+			resp.Body = shortBody{&w.body}
+		}
+	}
 	return resp, nil
 }
 
 // serveAborting runs the handler, converting http.ErrAbortHandler panics
 // (the standard "drop this connection" signal) into a returned error;
 // any other panic propagates.
-func serveAborting(h http.Handler, rec *httptest.ResponseRecorder, req *http.Request) (err error) {
+func serveAborting(h http.Handler, w http.ResponseWriter, req *http.Request) (err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			if r == http.ErrAbortHandler {
@@ -83,18 +98,62 @@ func serveAborting(h http.Handler, rec *httptest.ResponseRecorder, req *http.Req
 			panic(r)
 		}
 	}()
-	h.ServeHTTP(rec, req)
+	h.ServeHTTP(w, req)
 	return nil
 }
 
+// inprocWriter is the http.ResponseWriter a handler serves into. Like a
+// server connection it sends the header with the status line: once
+// WriteHeader or Write has run, Header returns a detached map, so later
+// header changes are dropped as they are on the wire.
+type inprocWriter struct {
+	header http.Header
+	code   int // 0 until the status line is written
+	body   inprocBody
+}
+
+func (w *inprocWriter) Header() http.Header {
+	if w.code != 0 {
+		return make(http.Header)
+	}
+	return w.header
+}
+
+func (w *inprocWriter) WriteHeader(code int) {
+	if w.code == 0 {
+		w.code = code
+	}
+}
+
+// Write sends an implicit 200 on first use, sniffing the Content-Type
+// when the handler set none, as a server does.
+func (w *inprocWriter) Write(b []byte) (int, error) {
+	if w.code == 0 {
+		if _, ok := w.header["Content-Type"]; !ok {
+			w.header.Set("Content-Type", http.DetectContentType(b))
+		}
+		w.code = http.StatusOK
+	}
+	return w.body.Write(b)
+}
+
+// inprocBody is the response body: the bytes the handler wrote, read
+// back in order.
+type inprocBody struct{ bytes.Buffer }
+
+func (*inprocBody) Close() error { return nil }
+
 // shortBody yields its bytes and then fails with io.ErrUnexpectedEOF —
 // what a fixed-length client body does when the peer closes early.
-type shortBody struct{ r *bytes.Reader }
+// It hides the buffer's WriteTo, so io.Copy cannot read around the error.
+type shortBody struct{ b *inprocBody }
 
-func (s *shortBody) Read(p []byte) (int, error) {
-	n, err := s.r.Read(p)
+func (s shortBody) Read(p []byte) (int, error) {
+	n, err := s.b.Read(p)
 	if err == io.EOF {
 		err = io.ErrUnexpectedEOF
 	}
 	return n, err
 }
+
+func (s shortBody) Close() error { return nil }

@@ -143,14 +143,19 @@ func TestHandlerTransportShortBodyFailsRead(t *testing.T) {
 		w.Header().Set("Content-Length", "100")
 		w.Write([]byte("only ten b"))
 	}))
-	resp, err := (&http.Client{Transport: rt}).Get("http://a.inproc/x")
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, err = io.ReadAll(resp.Body)
-	resp.Body.Close()
-	if !errors.Is(err, io.ErrUnexpectedEOF) {
-		t.Fatalf("short-body read error = %v, want io.ErrUnexpectedEOF", err)
+	for name, read := range map[string]func(io.Reader) error{
+		"ReadAll": func(r io.Reader) error { _, err := io.ReadAll(r); return err },
+		"Copy":    func(r io.Reader) error { _, err := io.Copy(io.Discard, r); return err },
+	} {
+		resp, err := (&http.Client{Transport: rt}).Get("http://a.inproc/x")
+		if err != nil {
+			t.Fatal(err)
+		}
+		err = read(resp.Body)
+		resp.Body.Close()
+		if !errors.Is(err, io.ErrUnexpectedEOF) {
+			t.Fatalf("short-body %s error = %v, want io.ErrUnexpectedEOF", name, err)
+		}
 	}
 }
 
