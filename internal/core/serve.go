@@ -147,8 +147,12 @@ func (f *FreePhish) startInproc() error {
 	// No Timeout: the handler runs on the caller's goroutine, so a deadline cuts nothing short, yet arms a timer per request.
 	client := &http.Client{Transport: rt}
 	f.wirePipeline("http://web.inproc", endpoints, client)
+	var portFault func(endpoint, key string) error
+	if f.injector != nil {
+		portFault = f.injector.PortFault
+	}
 	f.world = world.WithJournal(
-		world.WithRetry(faults.WrapWorld(world.Inproc(f.Sim), f.injector), f.retryPol),
+		world.WithRetry(world.WithFaults(world.Inproc(f.Sim), portFault), f.retryPol),
 		f.Metrics.Journal)
 	f.world.Stream = f.wrapStream(f.poller)
 	f.world.Snap = f.fetcher

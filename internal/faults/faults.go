@@ -1,9 +1,9 @@
 // Package faults is the deterministic fault-injection substrate: it
-// decorates the simulation's HTTP handlers and world ports with seeded,
-// configurable failures — injected latency, 5xx bursts, connection
-// resets, truncated and malformed bodies, DNS resolution failures, and
-// per-endpoint blackouts — so every failure path in the pipeline is
-// exercised on purpose.
+// decorates the simulation's HTTP handlers and fails world-port calls
+// (through world.WithFaults) with seeded, configurable failures —
+// injected latency, 5xx bursts, connection resets, truncated and
+// malformed bodies, DNS resolution failures, and per-endpoint blackouts
+// — so every failure path in the pipeline is exercised on purpose.
 //
 // Every decision is a pure hash of (seed, key, per-key request ordinal),
 // never a draw from shared RNG state, so a chaos run is exactly
@@ -406,7 +406,8 @@ func (i *Injector) ClockSkew(endpoint, key string) time.Duration {
 // PortFault decides whether one world-port call fails, using the
 // profile's ServerErrP + ResetP as the combined error rate. Injected
 // errors are marked retry.Transient so the unified policy absorbs them;
-// endpoint names the port family for blackout matching.
+// endpoint names the port family for blackout matching. It is the fault
+// slot world.WithFaults takes.
 func (i *Injector) PortFault(endpoint, key string) error {
 	kind, latency := i.decide(endpoint, "port|"+key, false, false)
 	if latency > 0 {
