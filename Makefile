@@ -57,8 +57,9 @@ VERIFY_cascade := TestCascadeDeterminism|TestCascadeDegenerateEquivalence
 # shards: the same seed split across 1, 2, 4, and 8 sub-stream shards
 # must merge into byte-identical records, journal, and stats — across
 # backends, with pipeline parallelism inside each shard, under the
-# default chaos profile, and through the coordinator's shard-retry path.
-VERIFY_shards := TestShardDeterminism|TestShardRetryReplaysExactly|TestShardRetryExhaustionFails
+# default chaos profile, and through the coordinator's shard-retry path —
+# and a shard whose records fail its own world audit must fail its attempt.
+VERIFY_shards := TestShardDeterminism|TestShardRetryReplaysExactly|TestShardRetryExhaustionFails|TestShardAuditFailureFailsAttempt
 # resume: a run killed at any ordered-apply cut point and resumed from
 # its checkpoint must yield byte-identical records, journal, and stats —
 # at every worker count, on both backends, under the default chaos
@@ -70,7 +71,11 @@ VERIFY_resume := TestResumeByteIdentical|TestResumeFromCheckpointFile|TestResume
 # byte-identical to in-process dispatch — at shards 2 and 4, on both
 # backends, under the default chaos profile — and a dead endpoint must
 # fail over to local dispatch through the per-worker circuit breaker.
-VERIFY_remote-shards := TestRemoteShardDeterminism|TestWorkerBreakerFailover
+# Every Config field must travel through the spec (or be allowlisted as
+# deployment-only), every study-shaping spec field must move the
+# fingerprint, and a spec with an out-of-range shard position must be
+# refused.
+VERIFY_remote-shards := TestRemoteShardDeterminism|TestWorkerBreakerFailover|TestConfigSpecRoundTrip|TestSpecFingerprintFields|TestSpecRunnerRejectsShardOutOfRange
 # adoption: a shard runner killed mid-run (local panic or remote
 # connection death) must be replaced by a runner that resumes from the
 # dead runner's last streamed checkpoint — never from scratch — and the

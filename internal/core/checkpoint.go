@@ -1,7 +1,9 @@
 package core
 
 import (
+	"encoding/json"
 	"fmt"
+	"strings"
 	"time"
 
 	"freephish/internal/obs"
@@ -116,43 +118,47 @@ func (f *FreePhish) buildCheckpoint() *state.Checkpoint {
 	return chk
 }
 
-// fingerprint renders the determinism-relevant configuration: everything
-// that shapes the study's draws, schedule, or output bytes. Deliberately
-// excluded: Backend, Workers, QueueDepth, SnapshotCacheSize, and the
-// observability knobs — the study is byte-identical across those, so a
-// checkpoint cut on one backend or worker count resumes on another.
+// fingerprintVersion prefixes every fingerprint. v1 was a hand-written
+// format string over the same knobs; v2 is derived from the wire spec.
+const fingerprintVersion = "v2"
+
+// fingerprint renders the determinism-relevant configuration of this run
+// — the study spec plus its shard position — as specFingerprint does.
 func (f *FreePhish) fingerprint() string {
-	cfg := f.Config
-	cascade := "off"
-	if cfg.Cascade != nil {
-		cascade = fmt.Sprintf("(%g,%g)", cfg.Cascade.BenignBelow, cfg.Cascade.PhishAbove)
+	sp := studySpec(f.Config)
+	sp.Shard, sp.Shards = f.shardIndex, f.shardCount
+	return specFingerprint(sp)
+}
+
+// specFingerprint is the version followed by the canonical JSON of sp
+// with the deployment-only fields zeroed: the study is byte-identical
+// across Workers, QueueDepth, SnapshotCacheSize, Backend, JournalRing and
+// the checkpoint stride, so a checkpoint cut on one backend or worker
+// count resumes on another. Every other field shapes the study's draws,
+// schedule, or output bytes. A shard's checkpoint captures one residue
+// class of the posting schedule, so the shard position stays in: adopting
+// it into a different position (or an unsharded run) would drop or
+// duplicate sub-streams.
+func specFingerprint(sp state.ShardSpec) string {
+	sp.Workers, sp.QueueDepth, sp.SnapshotCacheSize = 0, 0, 0
+	sp.Backend, sp.JournalRing, sp.CheckpointEvery, sp.Fingerprint = "", 0, 0, ""
+	sp.Epoch = sp.Epoch.UTC()
+	b, err := json.Marshal(sp)
+	if err != nil {
+		// Only a non-finite float fails to encode. Such a study cannot be
+		// dispatched either; its fingerprint says why instead of panicking.
+		return fingerprintVersion + " unencodable: " + err.Error()
 	}
-	chaos := "off"
-	if cfg.Faults != nil {
-		chaos = fmt.Sprintf("%+v", *cfg.Faults)
-	}
-	fp := fmt.Sprintf(
-		"v1 seed=%d epoch=%s dur=%s pop=%d/%d/%d/%d benign=%g scale=%g poll=%s train=%d growth=%g monitor=%s reshare=%g quota=%d@%g cascade=%s journal=%t chaos=%s",
-		cfg.Seed, cfg.Epoch.UTC().Format(time.RFC3339), cfg.Duration,
-		cfg.FWBTwitter, cfg.FWBFacebook, cfg.SelfTwitter, cfg.SelfFacebook,
-		cfg.BenignPerPhish, cfg.Scale, cfg.PollInterval, cfg.TrainPerClass,
-		cfg.GrowthExponent, cfg.MonitorInterval, cfg.ReshareRate,
-		cfg.PollQuota, cfg.PollQuotaRate, cascade, cfg.Journal, chaos)
-	if f.shardCount > 1 {
-		// A shard's checkpoint captures one residue class of the posting
-		// schedule; adopting it into a different shard position (or into an
-		// unsharded run) would silently drop or duplicate sub-streams, so
-		// the shard coordinates join the fingerprint. Single-run fingerprints
-		// are unchanged — a PR 9 checkpoint still resumes.
-		fp += fmt.Sprintf(" shard=%d/%d", f.shardIndex, f.shardCount)
-	}
-	return fp
+	return fingerprintVersion + " " + string(b)
 }
 
 // restoreRun rebuilds the run at the checkpoint instant. Called from
 // runLocal after startServers and SchedulePosts, before the poll
 // subscription, so the replayed events are exactly the posting schedule.
 func (f *FreePhish) restoreRun(chk *state.Checkpoint) error {
+	if v, _, _ := strings.Cut(chk.Fingerprint, " "); v != fingerprintVersion {
+		return fmt.Errorf("core: checkpoint fingerprint version %q is not supported (this build reads %s); re-run the study", v, fingerprintVersion)
+	}
 	if got, want := chk.Fingerprint, f.fingerprint(); got != want {
 		return fmt.Errorf("core: checkpoint was cut from a different study configuration:\n  checkpoint: %s\n  this run:   %s", got, want)
 	}

@@ -263,21 +263,15 @@ type FreePhish struct {
 
 	// Sharding (see shard.go). shardIndex/shardCount partition the posting
 	// schedule when this FreePhish is one shard of a larger study;
-	// sharedModels marks the trained models as borrowed from the
-	// coordinator (so wiring skips their observers — they are shared
-	// read-only across shards); shards retains the completed shard
-	// frameworks so Verify can audit their worlds; shardHook is a test
-	// seam invoked before each shard attempt.
+	// sharedModels marks the trained models as borrowed from a runner's
+	// model cache (so wiring skips their observers — they are shared
+	// read-only across shards); shardHook is a test seam invoked before
+	// each shard attempt.
 	shardIndex   int
 	shardCount   int
 	sharedModels bool
-	shards       []*FreePhish
-	// remoteShards marks that at least one shard ran on a remote worker, so
-	// no local child framework holds its world — Verify skips the
-	// world-existence probes for records it cannot see (see verify.go).
-	remoteShards bool
 	shardHook    func(shard, attempt int) error
-	// shardPrep is a test seam invoked on each freshly built shard child
+	// shardPrep is a test seam invoked on each in-process shard child just
 	// before it runs, so tests can arrange mid-run failures inside the
 	// child (e.g. a failing stream wrapper).
 	shardPrep func(child *FreePhish, shard, attempt int)

@@ -17,15 +17,16 @@ import (
 
 // Shard dispatch (the internal/shard boundary, coordinator side). The
 // coordinator no longer runs shards directly: it builds a serializable
-// shard.Spec per shard and hands it to a Runner — a local child framework
-// (localRunner) or a remote freephish-worker reached through
-// shardrpc.Client. Every runner streams periodic checkpoints back; when an
-// attempt dies (mid-run failure, local panic, remote blackout, open
-// breaker) the next attempt ADOPTS the last streamed checkpoint instead of
-// replaying the sub-stream from ordinal zero — the PR 9 replay path proves
-// the resumed run byte-identical, so failover costs only the work since
-// the last cut. Runner placement (which worker, or local) is the one thing
-// that may vary run to run; the shard's output never does.
+// shard.Spec per shard and hands it to a Runner — the in-process
+// SpecRunner or a remote freephish-worker (the same SpecRunner behind
+// shardrpc) reached through shardrpc.Client. Every runner streams
+// periodic checkpoints back; when an attempt dies (mid-run failure, local
+// panic, remote blackout, open breaker) the next attempt ADOPTS the last
+// streamed checkpoint instead of replaying the sub-stream from ordinal
+// zero — the resume replay path proves the resumed run byte-identical, so
+// failover costs only the work since the last cut. Runner placement
+// (which worker, or local) is the one thing that may vary run to run; the
+// shard's output never does.
 
 // dispatcher owns runner selection and the adoption loop for one sharded
 // run. Safe for the coordinator's concurrent per-shard goroutines: the
@@ -38,6 +39,9 @@ type dispatcher struct {
 	// day) — the granularity of failover adoption.
 	stride  int
 	clients []*shardrpc.Client
+	// local is the in-process fallback runner, its model cache seeded
+	// with the coordinator's trained models.
+	local *SpecRunner
 	// pol guards remote dispatch: single-attempt Do calls (the adoption
 	// loop owns retries) so every transport failure is a give-up the
 	// per-endpoint breaker counts; an endpoint that keeps failing opens and
@@ -45,9 +49,13 @@ type dispatcher struct {
 	pol *retry.Policy
 }
 
-// newDispatcher wires the run's dispatcher from Config.ShardWorkers.
+// newDispatcher wires the run's dispatcher from Config.ShardWorkers. Call
+// it after training: the local runner starts with the trained models.
 func (f *FreePhish) newDispatcher() *dispatcher {
-	d := &dispatcher{f: f, stride: f.Config.CheckpointEvery}
+	d := &dispatcher{f: f, stride: f.Config.CheckpointEvery, local: NewSpecRunner()}
+	// The coordinator has no shard position, so its fingerprint is exactly
+	// trainedFor's cache key.
+	d.local.models[f.fingerprint()] = &workerModels{model: f.Model, base: f.BaseModel, lexical: f.Lexical}
 	if d.stride <= 0 {
 		d.stride = int(24 * time.Hour / f.Config.PollInterval)
 		if d.stride < 1 {
@@ -102,10 +110,8 @@ func (d *dispatcher) pick(i, attempt int) *shardrpc.Client {
 }
 
 // runShard drives shard i to completion through the dispatch boundary,
-// adopting the last streamed checkpoint across attempts. The returned
-// child is the completed local framework when the final attempt ran
-// in-process (nil for a remote run — its world lived on the worker).
-func (d *dispatcher) runShard(i int) (*state.Snapshot, *FreePhish, error) {
+// adopting the last streamed checkpoint across attempts.
+func (d *dispatcher) runShard(i int) (*state.Snapshot, error) {
 	f := d.f
 	var lastErr error
 	var lastChk []byte
@@ -129,146 +135,69 @@ func (d *dispatcher) runShard(i int) (*state.Snapshot, *FreePhish, error) {
 		if adopted {
 			f.observeShardAdopt(i, attempt, runner, spec.Resume)
 		}
-		var snap *state.Snapshot
-		var child *FreePhish
-		var err error
-		if client != nil {
-			err = d.pol.Do(context.Background(), client.Name(), func() error {
-				s, rerr := client.Run(context.Background(), spec, onChk)
-				snap = s
-				return rerr
-			})
-			if err != nil {
-				f.Metrics.WorkerFailures.With(client.Name()).Inc()
-			}
-		} else {
-			lr := &localRunner{f: f, shard: i, attempt: attempt}
-			snap, err = lr.Run(context.Background(), spec, onChk)
-			child = lr.child
-		}
+		snap, err := d.attempt(client, i, attempt, spec, onChk)
 		if err != nil {
 			f.observeShardRetry(i, attempt, err)
 			lastErr = err
 			continue
 		}
 		f.observeShardDone(i, attempt, runner)
-		return snap, child, nil
+		return snap, nil
 	}
-	return nil, nil, fmt.Errorf("core: shard %d/%d failed after %d attempts: %w",
+	return nil, fmt.Errorf("core: shard %d/%d failed after %d attempts: %w",
 		i, f.Config.Shards, shardAttempts, lastErr)
 }
 
+// attempt runs one attempt of shard i on client, or in-process when
+// client is nil. Both paths end in a SpecRunner: the local one shares the
+// coordinator's trained models and threads its test seams into the child.
+func (d *dispatcher) attempt(client *shardrpc.Client, i, attempt int, spec shard.Spec, onChk func([]byte) error) (*state.Snapshot, error) {
+	f := d.f
+	if f.shardHook != nil {
+		if err := f.shardHook(i, attempt); err != nil {
+			return nil, err
+		}
+	}
+	if client == nil {
+		return d.local.run(spec, onChk, func(child *FreePhish) {
+			child.listen = f.listen
+			if f.shardPrep != nil {
+				f.shardPrep(child, i, attempt)
+			}
+		})
+	}
+	var snap *state.Snapshot
+	err := d.pol.Do(context.Background(), client.Name(), func() error {
+		s, rerr := client.Run(context.Background(), spec, onChk)
+		snap = s
+		return rerr
+	})
+	if err != nil {
+		f.Metrics.WorkerFailures.With(client.Name()).Inc()
+	}
+	return snap, err
+}
+
 // shardSpec serializes shard i's dispatch unit from this coordinator's
-// configuration. The fingerprint is the coordinator's own plus the shard
-// suffix — exactly what the runner's child framework will compute — so a
-// drifted worker refuses the spec instead of running a different study.
+// configuration. The fingerprint is the spec's own — exactly what the
+// runner's rebuilt child will compute — so a drifted worker refuses the
+// spec instead of running a different study.
 func (f *FreePhish) shardSpec(i, stride int) state.ShardSpec {
-	cfg := f.Config
-	sp := state.ShardSpec{
-		Seed:              cfg.Seed,
-		Epoch:             cfg.Epoch,
-		Duration:          cfg.Duration,
-		FWBTwitter:        cfg.FWBTwitter,
-		FWBFacebook:       cfg.FWBFacebook,
-		SelfTwitter:       cfg.SelfTwitter,
-		SelfFacebook:      cfg.SelfFacebook,
-		BenignPerPhish:    cfg.BenignPerPhish,
-		Scale:             cfg.Scale,
-		PollInterval:      cfg.PollInterval,
-		TrainPerClass:     cfg.TrainPerClass,
-		GrowthExponent:    cfg.GrowthExponent,
-		MonitorInterval:   cfg.MonitorInterval,
-		ReshareRate:       cfg.ReshareRate,
-		PollQuota:         cfg.PollQuota,
-		PollQuotaRate:     cfg.PollQuotaRate,
-		Workers:           cfg.Workers,
-		QueueDepth:        cfg.QueueDepth,
-		SnapshotCacheSize: cfg.SnapshotCacheSize,
-		Backend:           cfg.Backend,
-		Faults:            cfg.Faults,
-		Journal:           cfg.Journal,
-		JournalRing:       cfg.JournalRing,
-		Shard:             i,
-		Shards:            cfg.Shards,
-		CheckpointEvery:   stride,
-		Fingerprint:       f.fingerprint() + fmt.Sprintf(" shard=%d/%d", i, cfg.Shards),
-	}
-	if cfg.Cascade != nil {
-		sp.CascadeOn = true
-		sp.CascadeBenignBelow = cfg.Cascade.BenignBelow
-		sp.CascadePhishAbove = cfg.Cascade.PhishAbove
-	}
+	sp := studySpec(f.Config)
+	sp.Shard, sp.Shards, sp.CheckpointEvery = i, f.Config.Shards, stride
+	sp.Fingerprint = specFingerprint(sp)
 	return sp
 }
 
-// localRunner is the in-process shard.Runner: today's fresh-child path,
-// byte-identical to the pre-boundary coordinator, plus checkpoint
-// streaming through the child's sink and resume-from-adopted-checkpoint.
-type localRunner struct {
-	f       *FreePhish
-	shard   int
-	attempt int
-	// child is the completed framework after a successful Run — retained so
-	// the coordinator's Verify can audit its world.
-	child *FreePhish
-}
-
-// Name implements shard.Runner.
-func (r *localRunner) Name() string { return "local" }
-
-// Run implements shard.Runner with a child framework. A panic inside the
-// child (the local analogue of a worker crash) is converted to an error so
-// the adoption loop can hand the streamed checkpoint to a replacement
-// instead of unwinding the whole study.
-func (r *localRunner) Run(ctx context.Context, spec shard.Spec, onCheckpoint func(data []byte) error) (snap *state.Snapshot, err error) {
-	f := r.f
-	child := f.newShard(r.shard)
-	child.Config.CheckpointEvery = spec.CheckpointEvery
-	child.checkpointSink = onCheckpoint
-	if len(spec.Resume) > 0 {
-		chk, derr := state.DecodeCheckpoint(spec.Resume)
-		if derr != nil {
-			child.Close()
-			return nil, fmt.Errorf("core: shard %d adopt checkpoint: %w", r.shard, derr)
-		}
-		child.Config.Resume = chk
-	}
-	if f.shardPrep != nil {
-		f.shardPrep(child, r.shard, r.attempt)
-	}
-	if f.shardHook != nil {
-		if herr := f.shardHook(r.shard, r.attempt); herr != nil {
-			// The failed child is done for: close it before its replacement
-			// is built, or every retry leaks the previous attempt's
-			// listeners and keep-alive sockets for the rest of the study.
-			child.Close()
-			return nil, herr
-		}
-	}
-	defer func() {
-		if rec := recover(); rec != nil {
-			child.Close()
-			snap, err = nil, fmt.Errorf("core: shard %d panicked: %v", r.shard, rec)
-		}
-	}()
-	if _, rerr := child.Run(); rerr != nil {
-		child.Close()
-		return nil, rerr
-	}
-	var events []obs.Event
-	if j := child.Metrics.Journal; j != nil {
-		events = j.Events()
-	}
-	r.child = child
-	return child.State.Snapshot(events), nil
-}
-
-// SpecRunner is the worker-daemon shard.Runner: it rebuilds a complete
-// framework from each spec and runs it to completion. Trained models are
-// cached per study fingerprint — training is bit-identical per seed, so a
-// worker retraining from the spec yields byte-for-byte the models the
-// coordinator holds, and the second shard of the same study skips the
-// cost. cmd/freephish-worker serves one of these behind shardrpc.Server.
+// SpecRunner is the one shard.Runner that executes shards: it rebuilds a
+// complete framework from each spec, runs it to completion, audits its
+// world, and snapshots it. The coordinator's in-process fallback and the
+// worker daemon (cmd/freephish-worker, behind shardrpc.Server) run the
+// same code. Trained models are cached per study fingerprint — training is
+// bit-identical per seed, so a worker retraining from the spec yields
+// byte-for-byte the models the coordinator holds, the coordinator's own
+// runner starts with its models in the cache, and the second shard of the
+// same study skips the cost.
 type SpecRunner struct {
 	// Workers, when > 0, overrides the spec's probe-pool size with the
 	// worker machine's own parallelism — byte-identity across Workers is
@@ -299,13 +228,31 @@ func NewSpecRunner() *SpecRunner {
 func (r *SpecRunner) Name() string { return "worker" }
 
 // Run implements shard.Runner: rebuild, verify the fingerprint, train (or
-// reuse cached models), run, snapshot.
+// reuse cached models), run, audit, snapshot.
 func (r *SpecRunner) Run(ctx context.Context, spec shard.Spec, onCheckpoint func(data []byte) error) (*state.Snapshot, error) {
+	return r.run(spec, onCheckpoint, nil)
+}
+
+// run is Run with prep, when non-nil, invoked on the built child just
+// before it runs. A panic inside the child (the local analogue of a
+// worker crash) is converted to an error so the adoption loop can hand
+// the streamed checkpoint to a replacement instead of unwinding the study.
+func (r *SpecRunner) run(spec shard.Spec, onCheckpoint func(data []byte) error, prep func(child *FreePhish)) (snap *state.Snapshot, err error) {
+	// Not transient: every runner would refuse the same position.
+	if spec.Shards < 1 || spec.Shard < 0 || spec.Shard >= spec.Shards {
+		return nil, fmt.Errorf("core: shard position %d/%d out of range", spec.Shard, spec.Shards)
+	}
 	cfg := configFromSpec(spec.ShardSpec)
 	if r.Workers > 0 {
 		cfg.Workers = r.Workers
 	}
 	child := New(cfg)
+	defer child.Close()
+	defer func() {
+		if rec := recover(); rec != nil {
+			snap, err = nil, fmt.Errorf("core: shard %d panicked: %v", spec.Shard, rec)
+		}
+	}()
 	child.shardIndex = spec.Shard
 	child.shardCount = spec.Shards
 	if spec.Fingerprint != "" {
@@ -315,14 +262,14 @@ func (r *SpecRunner) Run(ctx context.Context, spec shard.Spec, onCheckpoint func
 			return nil, fmt.Errorf("core: spec fingerprint mismatch (worker build or spec drift):\n  spec:   %s\n  worker: %s", spec.Fingerprint, got)
 		}
 	}
-	m, err := r.trainedFor(cfg)
+	m, err := r.trainedFor(child.Config)
 	if err != nil {
 		return nil, err
 	}
 	child.Model = m.model
 	child.BaseModel = m.base
 	child.sharedModels = true
-	if cfg.Cascade != nil {
+	if cfg.Cascade != nil && m.lexical != nil {
 		child.Lexical = m.lexical
 		// The cascade pairs the cached scorer with THIS spec's thresholds —
 		// never cached, so two studies differing only in thresholds cannot
@@ -341,14 +288,19 @@ func (r *SpecRunner) Run(ctx context.Context, spec shard.Spec, onCheckpoint func
 		}
 		child.Config.Resume = chk
 	}
+	if prep != nil {
+		prep(child)
+	}
 	if r.Logger != nil {
 		r.Logger.Info("running shard spec",
 			"shard", spec.Shard, "shards", spec.Shards,
 			"seed", spec.Seed, "resume", len(spec.Resume) > 0)
 	}
-	defer child.Close()
 	if _, err := child.Run(); err != nil {
 		return nil, err
+	}
+	if err := child.auditRecords(true); err != nil {
+		return nil, fmt.Errorf("core: shard %d/%d audit: %w", spec.Shard, spec.Shards, err)
 	}
 	var events []obs.Event
 	if j := child.Metrics.Journal; j != nil {
@@ -358,13 +310,11 @@ func (r *SpecRunner) Run(ctx context.Context, spec shard.Spec, onCheckpoint func
 }
 
 // trainedFor returns (training if needed) the models for cfg's study. The
-// cache key is the base study fingerprint — every determinism-relevant
-// knob — computed on a donor framework that never runs, so the cached
-// models carry no per-run observers (the shard children mark them shared,
-// exactly like the coordinator's children do).
+// cache key is the study fingerprint with the shard position cleared; on
+// a miss a donor framework that never runs trains them, so the cached
+// models carry no per-run observers (the shard children mark them shared).
 func (r *SpecRunner) trainedFor(cfg Config) (*workerModels, error) {
-	donor := New(cfg)
-	key := donor.fingerprint()
+	key := specFingerprint(studySpec(cfg))
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if m, ok := r.models[key]; ok {
@@ -373,6 +323,7 @@ func (r *SpecRunner) trainedFor(cfg Config) (*workerModels, error) {
 	if r.Logger != nil {
 		r.Logger.Info("training models", "fingerprint", key)
 	}
+	donor := New(cfg)
 	if err := donor.Train(); err != nil {
 		return nil, err
 	}
@@ -384,10 +335,50 @@ func (r *SpecRunner) trainedFor(cfg Config) (*workerModels, error) {
 	return m, nil
 }
 
-// configFromSpec inverts shardSpec: rebuild the runnable Config on the
-// worker side. Shards is pinned to 1 (the spec IS one shard; the partition
+// studySpec is the one mapping from Config to the wire spec: every
+// determinism-relevant knob plus the deployment shape (Backend, Workers,
+// QueueDepth, ...) a worker should reproduce. The shard position and the
+// fingerprint are the caller's; configFromSpec inverts it, and
+// specFingerprint derives the study fingerprint from it.
+func studySpec(cfg Config) state.ShardSpec {
+	sp := state.ShardSpec{
+		Seed:              cfg.Seed,
+		Epoch:             cfg.Epoch,
+		Duration:          cfg.Duration,
+		FWBTwitter:        cfg.FWBTwitter,
+		FWBFacebook:       cfg.FWBFacebook,
+		SelfTwitter:       cfg.SelfTwitter,
+		SelfFacebook:      cfg.SelfFacebook,
+		BenignPerPhish:    cfg.BenignPerPhish,
+		Scale:             cfg.Scale,
+		PollInterval:      cfg.PollInterval,
+		TrainPerClass:     cfg.TrainPerClass,
+		GrowthExponent:    cfg.GrowthExponent,
+		MonitorInterval:   cfg.MonitorInterval,
+		ReshareRate:       cfg.ReshareRate,
+		PollQuota:         cfg.PollQuota,
+		PollQuotaRate:     cfg.PollQuotaRate,
+		Workers:           cfg.Workers,
+		QueueDepth:        cfg.QueueDepth,
+		SnapshotCacheSize: cfg.SnapshotCacheSize,
+		Backend:           cfg.Backend,
+		Faults:            cfg.Faults,
+		Journal:           cfg.Journal,
+		JournalRing:       cfg.JournalRing,
+		CheckpointEvery:   cfg.CheckpointEvery,
+	}
+	if cfg.Cascade != nil {
+		sp.CascadeOn = true
+		sp.CascadeBenignBelow = cfg.Cascade.BenignBelow
+		sp.CascadePhishAbove = cfg.Cascade.PhishAbove
+	}
+	return sp
+}
+
+// configFromSpec inverts studySpec: rebuild the runnable Config on the
+// runner side. Shards is pinned to 1 (the spec IS one shard; the partition
 // rides in shardIndex/shardCount) and the observability hooks stay nil —
-// the worker daemon owns its own registry and logging.
+// the coordinator or worker daemon owns registry and logging.
 func configFromSpec(sp state.ShardSpec) Config {
 	cfg := Config{
 		Seed:              sp.Seed,

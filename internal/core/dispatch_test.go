@@ -2,45 +2,41 @@ package core
 
 import (
 	"bytes"
+	"context"
 	"errors"
 	"fmt"
 	"net/http/httptest"
+	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 
+	"freephish/internal/baselines"
 	"freephish/internal/faults"
 	"freephish/internal/obs"
+	"freephish/internal/retry"
+	"freephish/internal/shard"
 	"freephish/internal/shardrpc"
 	"freephish/internal/state"
 	"freephish/internal/world"
 )
 
-// remoteRun executes one traced study with every shard dispatched to the
-// given worker endpoint(s) and returns the same byte-comparable artifacts
-// shardRun does.
-func remoteRun(t *testing.T, shards, workers int, backend string, prof *faults.Profile, endpoints ...string) (records, journal []byte, stats Stats, f *FreePhish) {
-	t.Helper()
-	cfg := streamSweepConfig(workers, 0, backend)
-	cfg.Journal = true
-	cfg.Faults = prof
-	cfg.Shards = shards
-	cfg.ShardWorkers = endpoints
-	f = New(cfg)
-	study, err := f.Run()
-	if err != nil {
-		t.Fatalf("remote shards=%d backend=%s: %v", shards, backend, err)
+// snapshotRecorder is a shard.Runner that records, per shard, the Stats of
+// every snapshot its inner runner returns.
+type snapshotRecorder struct {
+	shard.Runner
+	mu    sync.Mutex
+	stats map[int]Stats
+}
+
+func (r *snapshotRecorder) Run(ctx context.Context, spec shard.Spec, onCheckpoint func([]byte) error) (*state.Snapshot, error) {
+	snap, err := r.Runner.Run(ctx, spec, onCheckpoint)
+	if err == nil {
+		r.mu.Lock()
+		r.stats[spec.Shard] = snap.Stats
+		r.mu.Unlock()
 	}
-	if err := f.Verify(); err != nil {
-		t.Fatalf("remote shards=%d backend=%s failed verification: %v", shards, backend, err)
-	}
-	var rbuf, jbuf bytes.Buffer
-	if err := study.WriteJSONL(&rbuf); err != nil {
-		t.Fatal(err)
-	}
-	if err := f.Metrics.Journal.WriteJSONL(&jbuf); err != nil {
-		t.Fatal(err)
-	}
-	return rbuf.Bytes(), jbuf.Bytes(), f.Stats(), f
+	return snap, err
 }
 
 // TestRemoteShardDeterminism is the `make verify-remote-shards` gate: the
@@ -55,7 +51,8 @@ func remoteRun(t *testing.T, shards, workers int, backend string, prof *faults.P
 func TestRemoteShardDeterminism(t *testing.T) {
 	baseRec, baseJournal, baseStats, _ := shardRun(t, 1, 1, BackendInproc, nil)
 
-	srv := httptest.NewServer(&shardrpc.Server{Runner: NewSpecRunner()})
+	recorder := &snapshotRecorder{Runner: NewSpecRunner()}
+	srv := httptest.NewServer(&shardrpc.Server{Runner: recorder})
 	defer srv.Close()
 
 	defaultProf := faults.DefaultProfile()
@@ -71,13 +68,24 @@ func TestRemoteShardDeterminism(t *testing.T) {
 	}
 	for _, tc := range cases {
 		label := fmt.Sprintf("remote shards=%d backend=%s chaos=%v", tc.shards, tc.backend, tc.prof != nil)
-		rec, journal, stats, f := remoteRun(t, tc.shards, 1, tc.backend, tc.prof, srv.URL)
+		recorder.stats = map[int]Stats{}
+		rec, journal, stats, f := shardRun(t, tc.shards, 1, tc.backend, tc.prof, srv.URL)
 		diffCascadeRun(t, label, baseRec, rec, baseJournal, journal, baseStats, stats)
-		// Every shard really went over the wire: no local children remain,
-		// the dispatch counter names the endpoint, and nothing failed over.
-		if !f.remoteShards || len(f.shards) != 0 {
-			t.Fatalf("%s: %d local children, remoteShards=%v; shards did not dispatch remotely",
-				label, len(f.shards), f.remoteShards)
+		// Every shard really went over the wire: the dispatch counter names
+		// the endpoint, none ran locally, and nothing failed over.
+		if got := f.Metrics.ShardDispatched.With("local").Value(); got != 0 {
+			t.Fatalf("%s: %v shards dispatched locally; want all remote", label, got)
+		}
+		// Non-vacuous: every shard's snapshot saw part, never all, of the
+		// stream.
+		if len(recorder.stats) != tc.shards {
+			t.Fatalf("%s: worker returned %d shard snapshots, want %d", label, len(recorder.stats), tc.shards)
+		}
+		for i, st := range recorder.stats {
+			if st.PostsSeen == 0 || st.PostsSeen >= baseStats.PostsSeen {
+				t.Fatalf("%s: shard %d saw %d posts of %d total; partition is vacuous",
+					label, i, st.PostsSeen, baseStats.PostsSeen)
+			}
 		}
 		if got := f.Metrics.ShardDispatched.With(srv.URL).Value(); got != float64(tc.shards) {
 			t.Fatalf("%s: freephish_shard_dispatched_total{runner=%s} = %v, want %d",
@@ -206,10 +214,13 @@ func TestRemoteShardAdoptionByteIdentical(t *testing.T) {
 	if got := f.Metrics.ShardAdopted.With("1").Value(); got != 1 {
 		t.Fatalf("freephish_shard_adopted_total{shard=1} = %v, want 1", got)
 	}
-	// Shard 0 finished on the worker; shard 1's replacement ran locally.
-	if !f.remoteShards || len(f.shards) != 1 {
-		t.Fatalf("kept %d local children, remoteShards=%v; want exactly the failed-over shard",
-			len(f.shards), f.remoteShards)
+	// Both shards went to the worker first; only shard 1's replacement ran
+	// locally.
+	if got := f.Metrics.ShardDispatched.With(srv.URL).Value(); got != 2 {
+		t.Fatalf("freephish_shard_dispatched_total{runner=%s} = %v, want 2", srv.URL, got)
+	}
+	if got := f.Metrics.ShardDispatched.With("local").Value(); got != 1 {
+		t.Fatalf("freephish_shard_dispatched_total{runner=local} = %v, want 1", got)
 	}
 
 	var rec, journal bytes.Buffer
@@ -236,7 +247,7 @@ func TestWorkerBreakerFailover(t *testing.T) {
 	endpoint := dead.Listener.Addr().String()
 	dead.Close()
 
-	rec, journal, stats, f := remoteRun(t, 2, 1, BackendInproc, nil, endpoint)
+	rec, journal, stats, f := shardRun(t, 2, 1, BackendInproc, nil, endpoint)
 	diffCascadeRun(t, "all workers dead", baseRec, rec, baseJournal, journal, baseStats, stats)
 
 	if got := f.Metrics.WorkerFailures.With(endpoint).Value(); got != 2 {
@@ -251,11 +262,75 @@ func TestWorkerBreakerFailover(t *testing.T) {
 	if got := f.Metrics.ShardAdopted.With("0").Value() + f.Metrics.ShardAdopted.With("1").Value(); got != 0 {
 		t.Fatalf("%v shards adopted checkpoints; refused dispatches have none to adopt", got)
 	}
-	if f.remoteShards || len(f.shards) != 2 {
-		t.Fatalf("kept %d local children, remoteShards=%v; every shard should have fallen back locally",
-			len(f.shards), f.remoteShards)
+	if got := f.Metrics.ShardDispatched.With(endpoint).Value(); got != 2 {
+		t.Fatalf("freephish_shard_dispatched_total{runner=%s} = %v, want 2", endpoint, got)
 	}
 	if got := f.Metrics.ShardDispatched.With("local").Value(); got != 2 {
 		t.Fatalf("freephish_shard_dispatched_total{runner=local} = %v, want 2", got)
+	}
+}
+
+// infoLog is a SpecRunner logger that keeps every message.
+type infoLog struct {
+	mu   sync.Mutex
+	msgs []string
+}
+
+func (l *infoLog) Info(msg string, args ...any) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	l.msgs = append(l.msgs, msg)
+}
+
+// TestSpecRunnerRejectsShardOutOfRange pins the runner's position guard
+// through the worker's wire stack: a spec whose shard position lies outside
+// [0, Shards) gets a definitive (non-transient) error frame before any
+// model is trained, instead of an empty or whole-study snapshot.
+func TestSpecRunnerRejectsShardOutOfRange(t *testing.T) {
+	log := &infoLog{}
+	runner := NewSpecRunner()
+	runner.Logger = log
+	srv := httptest.NewServer(&shardrpc.Server{Runner: runner})
+	defer srv.Close()
+	client := shardrpc.NewClient(srv.URL)
+	coordinator := New(streamSweepConfig(1, 0, BackendInproc))
+	for _, pos := range []struct{ shard, shards int }{{5, 2}, {2, 2}, {-1, 2}, {0, 0}} {
+		spec := shard.Spec{ShardSpec: coordinator.shardSpec(0, 1)}
+		spec.Shard, spec.Shards, spec.Fingerprint = pos.shard, pos.shards, ""
+		snap, err := client.Run(context.Background(), spec, nil)
+		if err == nil {
+			t.Fatalf("shard %d/%d: runner returned a snapshot with %d records; want an error frame",
+				pos.shard, pos.shards, len(snap.Records))
+		}
+		if retry.IsTransient(err) || !strings.Contains(err.Error(), "out of range") {
+			t.Fatalf("shard %d/%d: err = %v (transient=%v); want a plain out-of-range error",
+				pos.shard, pos.shards, err, retry.IsTransient(err))
+		}
+	}
+	for _, msg := range log.msgs {
+		if msg == "training models" {
+			t.Fatal("runner trained models for an out-of-range spec")
+		}
+	}
+}
+
+// TestLocalRunnerReusesCoordinatorModels pins the in-process runner's
+// model source: a shard child rebuilt from its spec finds the
+// coordinator's own trained models under its cache key, so local shards
+// never retrain.
+func TestLocalRunnerReusesCoordinatorModels(t *testing.T) {
+	cfg := streamSweepConfig(4, 0, BackendHTTP)
+	cfg.Shards = 2
+	cfg.Cascade = &CascadeConfig{BenignBelow: 0.1, PhishAbove: 0.9}
+	f := New(cfg)
+	f.Model, f.BaseModel, f.Lexical = &baselines.StackDetector{}, &baselines.StackDetector{}, &baselines.LexicalScorer{}
+	d := f.newDispatcher()
+	child := New(configFromSpec(f.shardSpec(1, d.stride)))
+	m, err := d.local.trainedFor(child.Config)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if m.model != f.Model || m.base != f.BaseModel || m.lexical != f.Lexical {
+		t.Fatal("the local runner trained its own models instead of using the coordinator's")
 	}
 }

@@ -245,7 +245,7 @@ func (f *FreePhish) wireMetrics() {
 			}
 		}
 	}
-	// Shards borrow the coordinator's trained models read-only; installing
+	// Shards borrow their runner's cached models read-only; installing
 	// this shard's observer on them would race with its siblings (and
 	// misattribute timings), so only a framework that owns its models
 	// instruments them.

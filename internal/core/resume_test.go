@@ -216,6 +216,20 @@ func TestResumeRejectsFingerprintMismatch(t *testing.T) {
 	if err == nil || !strings.Contains(err.Error(), "different study configuration") {
 		t.Fatalf("mismatched resume = %v, want a fingerprint error", err)
 	}
+
+	// A checkpoint cut before fingerprints came from the spec (v1) is
+	// refused by version, even into the configuration it was cut from.
+	v1 := *chk
+	v1.Fingerprint = "v1 seed=1 epoch=2022-11-01T00:00:00Z dur=96h0m0s"
+	old := cfg
+	old.CheckpointEvery = 0
+	old.Resume = &v1
+	f = New(old)
+	donateModels(f, donor)
+	_, err = f.Run()
+	if err == nil || !strings.Contains(err.Error(), `version "v1"`) {
+		t.Fatalf("v1 resume = %v, want an error naming the fingerprint version", err)
+	}
 }
 
 // TestCheckpointRejectedWithShards pins the coordinator-level guard: the

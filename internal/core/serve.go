@@ -258,10 +258,9 @@ func (f *FreePhish) startFeedServers() (map[string]string, error) {
 // Close releases every live resource this framework holds: the loopback
 // servers and the crawler clients' idle connections. Idempotent, and safe
 // on a partially started framework (every field it touches is nil-guarded).
-// The shard coordinator calls it on each failed attempt so a retry with a
-// fresh child never stacks a leaked listener or keep-alive socket on top
-// of the dead one, and on the coordinator's own failure path so sibling
-// shards are torn down rather than abandoned.
+// Every shard runner closes its child when the attempt ends, so a retry
+// never stacks a leaked listener or keep-alive socket on top of the dead
+// one, and a coordinator that fails abandons no sibling shard.
 func (f *FreePhish) Close() {
 	f.stopServers()
 	if f.fetcher != nil && f.fetcher.Client != nil {

@@ -31,9 +31,9 @@ const shardAttempts = 3
 
 // runSharded is Run's coordinator path (Config.Shards > 1). Execution
 // goes through the shard-dispatch boundary: the dispatcher picks a runner
-// (local child, or a Config.ShardWorkers endpoint) per attempt and owns
+// (in-process, or a Config.ShardWorkers endpoint) per attempt and owns
 // failover by checkpoint adoption; this function owns training, fan-out,
-// teardown, and the merge.
+// and the merge.
 func (f *FreePhish) runSharded() (*analysis.Study, error) {
 	f.runStart = time.Now()
 	if f.Model == nil || f.BaseModel == nil {
@@ -46,34 +46,13 @@ func (f *FreePhish) runSharded() (*analysis.Study, error) {
 	}
 	n := f.Config.Shards
 	d := f.newDispatcher()
-	shards := make([]*FreePhish, n)
+	// Every runner closes its child and audits its world before it
+	// snapshots, so a failed shard leaves nothing open here and Verify
+	// needs only the merged records.
 	snaps, err := par.MapOrdered(n, make([]struct{}, n),
-		func(i int, _ struct{}) (*state.Snapshot, error) {
-			snap, child, err := d.runShard(i)
-			shards[i] = child
-			return snap, err
-		})
+		func(i int, _ struct{}) (*state.Snapshot, error) { return d.runShard(i) })
 	if err != nil {
-		// par.MapOrdered continues on error, so by the time it returns every
-		// shard attempt has finished — but the siblings that succeeded are
-		// still holding their frameworks. Tear them all down instead of
-		// returning with their sockets abandoned.
-		for _, child := range shards {
-			if child != nil {
-				child.Close()
-			}
-		}
 		return nil, err
-	}
-	// Remote shards return a snapshot but no local framework; keep the
-	// frameworks that do exist for Verify's world audit and flag the rest.
-	f.shards = f.shards[:0]
-	for _, child := range shards {
-		if child != nil {
-			f.shards = append(f.shards, child)
-		} else {
-			f.remoteShards = true
-		}
 	}
 	merged := state.Merge(snaps...)
 	f.State.Restore(merged)
@@ -96,33 +75,4 @@ func (f *FreePhish) observeShardRetry(shard, attempt int, err error) {
 		j.RecordOps("", obs.EvShardRetry,
 			"shard", itoa(shard), "attempt", itoa(attempt), "err", err.Error())
 	}
-}
-
-// newShard builds the child framework for shard i. The child shares the
-// coordinator's trained models read-only (sharedModels suppresses
-// observer installation — see wireMetrics) and keeps everything else
-// private: its own registry (so concurrent shards never collide on
-// metric families), no progress or log hooks (the coordinator owns
-// narration), and Shards reset to 1 so the child takes the local path.
-func (f *FreePhish) newShard(i int) *FreePhish {
-	cfg := f.Config
-	cfg.Shards = 1
-	cfg.Registry = nil
-	cfg.Progress = nil
-	cfg.Logger = nil
-	// Checkpointing is coordinator-level (Run rejects it with Shards > 1);
-	// never let a child inherit the flags and clobber the operator's file.
-	cfg.CheckpointPath = ""
-	cfg.CheckpointEvery = 0
-	cfg.Resume = nil
-	child := New(cfg)
-	child.listen = f.listen
-	child.shardIndex = i
-	child.shardCount = f.Config.Shards
-	child.sharedModels = true
-	child.Model = f.Model
-	child.BaseModel = f.BaseModel
-	child.Lexical = f.Lexical
-	child.cascade = f.cascade
-	return child
 }

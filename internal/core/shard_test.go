@@ -7,26 +7,45 @@ import (
 	"reflect"
 	"strings"
 	"testing"
+	"time"
 
+	"freephish/internal/crawler"
 	"freephish/internal/faults"
+	"freephish/internal/world"
 )
 
-// shardRun executes one traced study split across the given shard count
-// and returns the study records JSONL, the canonical journal JSONL, the
-// run's stats, and the framework (for observation comparison).
-func shardRun(t *testing.T, shards, workers int, backend string, prof *faults.Profile) (records, journal []byte, stats Stats, f *FreePhish) {
-	t.Helper()
+// shardConfig is the traced sweep study split across the given shard
+// count, dispatched to the given worker endpoints when any are listed.
+func shardConfig(shards, workers int, backend string, prof *faults.Profile, endpoints ...string) Config {
 	cfg := streamSweepConfig(workers, 0, backend)
 	cfg.Journal = true
 	cfg.Faults = prof
 	cfg.Shards = shards
-	f = New(cfg)
+	cfg.ShardWorkers = endpoints
+	return cfg
+}
+
+// shardRun executes one traced sharded study and returns the study records
+// JSONL, the canonical journal JSONL, the run's stats, and the framework
+// (for observation comparison).
+func shardRun(t *testing.T, shards, workers int, backend string, prof *faults.Profile, endpoints ...string) (records, journal []byte, stats Stats, f *FreePhish) {
+	t.Helper()
+	f = New(shardConfig(shards, workers, backend, prof, endpoints...))
+	label := fmt.Sprintf("shards=%d workers=%d backend=%s endpoints=%v", shards, workers, backend, endpoints)
+	records, journal, stats = runTraced(t, label, f)
+	return records, journal, stats, f
+}
+
+// runTraced runs f, verifies it, and returns its records JSONL, canonical
+// journal JSONL, and stats.
+func runTraced(t *testing.T, label string, f *FreePhish) (records, journal []byte, stats Stats) {
+	t.Helper()
 	study, err := f.Run()
 	if err != nil {
-		t.Fatalf("shards=%d workers=%d backend=%s: %v", shards, workers, backend, err)
+		t.Fatalf("%s: %v", label, err)
 	}
 	if err := f.Verify(); err != nil {
-		t.Fatalf("shards=%d workers=%d backend=%s failed verification: %v", shards, workers, backend, err)
+		t.Fatalf("%s failed verification: %v", label, err)
 	}
 	var rbuf, jbuf bytes.Buffer
 	if err := study.WriteJSONL(&rbuf); err != nil {
@@ -35,7 +54,7 @@ func shardRun(t *testing.T, shards, workers int, backend string, prof *faults.Pr
 	if err := f.Metrics.Journal.WriteJSONL(&jbuf); err != nil {
 		t.Fatal(err)
 	}
-	return rbuf.Bytes(), jbuf.Bytes(), f.Stats(), f
+	return rbuf.Bytes(), jbuf.Bytes(), f.Stats()
 }
 
 // TestShardDeterminism is the `make verify-shards` gate: the same seeded
@@ -55,15 +74,18 @@ func TestShardDeterminism(t *testing.T) {
 	}
 
 	for _, shards := range []int{2, 4, 8} {
-		rec, journal, stats, f := shardRun(t, shards, 1, BackendInproc, nil)
 		label := fmt.Sprintf("inproc shards=%d", shards)
-		if len(f.shards) != shards {
-			t.Fatalf("%s: coordinator kept %d children, want %d", label, len(f.shards), shards)
+		f := New(shardConfig(shards, 1, BackendInproc, nil))
+		children := make([]*FreePhish, shards)
+		f.shardPrep = func(child *FreePhish, shard, _ int) { children[shard] = child }
+		rec, journal, stats := runTraced(t, label, f)
+		if got := f.Metrics.ShardDispatched.With("local").Value(); got != float64(shards) {
+			t.Fatalf("%s: freephish_shard_dispatched_total{runner=local} = %v, want %d", label, got, shards)
 		}
-		// Non-vacuous: the partition actually split the traffic — no child
-		// saw the whole stream.
-		for i, sh := range f.shards {
-			if got := sh.Stats().PostsSeen; got == 0 || got >= baseStats.PostsSeen {
+		// Non-vacuous: the partition actually split the traffic — no shard's
+		// snapshot saw the whole stream.
+		for i, child := range children {
+			if got := child.State.Snapshot(nil).Stats.PostsSeen; got == 0 || got >= baseStats.PostsSeen {
 				t.Fatalf("%s: shard %d saw %d posts of %d total; partition is vacuous",
 					label, i, got, baseStats.PostsSeen)
 			}
@@ -148,6 +170,51 @@ func TestShardRetryExhaustionFails(t *testing.T) {
 	}
 	if !strings.Contains(err.Error(), "shard 1/2") {
 		t.Fatalf("error does not name the failing shard: %v", err)
+	}
+	if len(f.State.Records()) != 0 {
+		t.Fatalf("failed run leaked %d records into the coordinator", len(f.State.Records()))
+	}
+}
+
+// backdatedStream reports every post as shared a day before the epoch — a
+// record no valid run can hold.
+type backdatedStream struct {
+	inner world.URLStream
+	epoch time.Time
+}
+
+func (s backdatedStream) Poll(now time.Time) ([]crawler.StreamedURL, error) {
+	urls, err := s.inner.Poll(now)
+	for i := range urls {
+		urls[i].At = s.epoch.Add(-24 * time.Hour)
+	}
+	return urls, err
+}
+
+// TestShardAuditFailureFailsAttempt pins the per-shard audit: a shard
+// whose records break an invariant fails its attempt instead of returning
+// a snapshot, so a shard that does so on every attempt fails the run and
+// nothing of it reaches the coordinator.
+func TestShardAuditFailureFailsAttempt(t *testing.T) {
+	cfg := streamSweepConfig(1, 0, BackendInproc)
+	cfg.Shards = 2
+	f := New(cfg)
+	f.shardPrep = func(child *FreePhish, shard, _ int) {
+		if shard == 1 {
+			child.streamWrap = func(s world.URLStream) world.URLStream {
+				return backdatedStream{inner: s, epoch: child.Config.Epoch}
+			}
+		}
+	}
+	_, err := f.Run()
+	if err == nil || !strings.Contains(err.Error(), "shard 1/2 audit") || !strings.Contains(err.Error(), "outside the window") {
+		t.Fatalf("run = %v, want shard 1's audit failure", err)
+	}
+	if got := f.Metrics.ShardRetries.With("1").Value(); got != shardAttempts {
+		t.Fatalf("freephish_shard_retries_total{shard=1} = %v, want %d failed attempts", got, shardAttempts)
+	}
+	if got := f.Metrics.ShardRetries.With("0").Value(); got != 0 {
+		t.Fatalf("freephish_shard_retries_total{shard=0} = %v, want 0", got)
 	}
 	if len(f.State.Records()) != 0 {
 		t.Fatalf("failed run leaked %d records into the coordinator", len(f.State.Records()))

@@ -14,17 +14,31 @@ import (
 // cmd/freephish can surface violations instead of silently printing
 // corrupt tables.
 //
-// Verification is a harness-side audit, so it always inspects the Sim
-// through a fresh in-process port view: by the time Verify runs the http
-// backend's servers are already down, and the audit must see the world's
-// final state directly. A sharded study has one world per shard — each
-// record's post and site live in exactly one of them — so the audit
-// probes every shard's view until it finds the record's home.
+// A single run's records are audited against its own world. A sharded
+// study has one world per shard, and every shard runner audited its
+// records against its own world before it snapshotted (SpecRunner.run),
+// wherever it ran; here the merged records get the record-local checks
+// and the study-level cohort check.
 func (f *FreePhish) Verify() error {
-	views := []world.World{world.Inproc(f.Sim)}
-	for _, sh := range f.shards {
-		views = append(views, world.Inproc(sh.Sim))
+	if err := f.auditRecords(f.Config.Shards <= 1); err != nil {
+		return err
 	}
+	// Cohort sanity: both cohorts must exist for the comparisons to mean
+	// anything.
+	study := f.State.Study()
+	if len(study.Select(analysis.FWBCohort)) == 0 || len(study.Select(analysis.SelfHostedCohort)) == 0 {
+		return fmt.Errorf("study missing a cohort: %d records", len(study.Records))
+	}
+	return nil
+}
+
+// auditRecords checks the record-local invariants of every record and,
+// with probe, that each record references a live post and a hosted site in
+// this framework's world. The audit is harness-side, so it inspects the
+// Sim through a fresh in-process port view: by the time it runs the http
+// backend's servers are already down.
+func (f *FreePhish) auditRecords(probe bool) error {
+	w := world.Inproc(f.Sim)
 	seen := map[string]bool{}
 	horizonEnd := f.Config.Epoch.Add(f.Config.Duration + 7*24*time.Hour)
 	for i, r := range f.State.Records() {
@@ -39,37 +53,18 @@ func (f *FreePhish) Verify() error {
 		if t.SharedAt.Before(f.Config.Epoch) || t.SharedAt.After(horizonEnd) {
 			return fmt.Errorf("record %d: share time %v outside the window", i, t.SharedAt)
 		}
-		// Every record must reference a live post and a hosted site, in
-		// whichever shard's world published it. The platform must exist in
-		// every view; a post missing from one view just means another
-		// shard owns the URL, so the audit probes each in turn.
 		var post world.PostStatus
-		for _, w := range views {
-			p, err := w.Platform.LookupPost(t.Platform, t.PostID)
-			if err != nil {
+		if probe {
+			var err error
+			if post, err = w.Platform.LookupPost(t.Platform, t.PostID); err != nil {
 				return fmt.Errorf("record %d: unknown platform %q", i, t.Platform)
 			}
-			if p.Exists {
-				post = p
-				break
+			if !post.Exists {
+				return fmt.Errorf("record %d: post %q not on %s", i, t.PostID, t.Platform)
 			}
-		}
-		// When at least one shard ran on a remote worker its world died with
-		// the worker process, so a record absent from every LOCAL view is
-		// assumed to be a remote shard's; the record-local invariants below
-		// (ordering, CT, noindex, cohort) still apply to it.
-		if !post.Exists && !f.remoteShards {
-			return fmt.Errorf("record %d: post %q not on %s", i, t.PostID, t.Platform)
-		}
-		hosted := false
-		for _, w := range views {
-			if info, err := w.Intel.Resolve(t.URL); err == nil && info.Hosted {
-				hosted = true
-				break
+			if info, err := w.Intel.Resolve(t.URL); err != nil || !info.Hosted {
+				return fmt.Errorf("record %d: site %q not hosted", i, t.URL)
 			}
-		}
-		if !hosted && !f.remoteShards {
-			return fmt.Errorf("record %d: site %q not hosted", i, t.URL)
 		}
 		// Event ordering: nothing happens before the share.
 		for name, v := range r.Blocklist {
@@ -89,7 +84,7 @@ func (f *FreePhish) Verify() error {
 			if r.PlatformRemovedAt.Before(t.SharedAt) {
 				return fmt.Errorf("record %d: platform removal before share", i)
 			}
-			if post.Exists && (!post.Removed || !post.RemovedAt.Equal(r.PlatformRemovedAt)) {
+			if probe && (!post.Removed || !post.RemovedAt.Equal(r.PlatformRemovedAt)) {
 				return fmt.Errorf("record %d: platform removal not reflected on the post", i)
 			}
 		}
@@ -104,12 +99,6 @@ func (f *FreePhish) Verify() error {
 		if t.Noindex && t.SearchIndexed {
 			return fmt.Errorf("record %d: noindex page marked indexed", i)
 		}
-	}
-	// Cohort sanity: both cohorts must exist for the comparisons to mean
-	// anything.
-	study := f.State.Study()
-	if len(study.Select(analysis.FWBCohort)) == 0 || len(study.Select(analysis.SelfHostedCohort)) == 0 {
-		return fmt.Errorf("study missing a cohort: %d records", len(study.Records))
 	}
 	return nil
 }

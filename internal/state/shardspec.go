@@ -74,9 +74,9 @@ type ShardSpec struct {
 	CheckpointEvery int `json:"checkpoint_every,omitempty"`
 
 	// Fingerprint is the coordinator's expected determinism fingerprint for
-	// this shard (core's fingerprint() plus the shard suffix). A runner
-	// whose rebuilt configuration fingerprints differently must refuse the
-	// spec.
+	// this shard, derived from this spec itself (core's specFingerprint). A
+	// runner whose rebuilt configuration fingerprints differently must
+	// refuse the spec.
 	Fingerprint string `json:"fingerprint,omitempty"`
 }
 
