@@ -38,8 +38,9 @@ VERIFY := backends chaos stream journal cascade shards resume remote-shards adop
 VERIFY_backends := TestCrossBackendEquivalence
 # chaos: a study soaked in the default fault profile (latency, 5xx
 # bursts, resets, corrupted bodies) on both backends must be
-# byte-identical to the fault-free run.
-VERIFY_chaos := TestStudyUnderFaultsDeterministic|TestBlackoutSurvivedAndObserved
+# byte-identical to the fault-free run, and failure faults must reach
+# each platform's poll endpoint with poll.<platform> retries recorded.
+VERIFY_chaos := TestStudyUnderFaultsDeterministic|TestBlackoutSurvivedAndObserved|TestChaosReachesEveryPollEndpoint
 # stream: the same seed at every (workers × queue-depth × backend)
 # combination must yield a byte-identical study, and a failed poll must
 # end the run at once.
