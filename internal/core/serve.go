@@ -131,26 +131,26 @@ func (f *FreePhish) chaos(endpoint string, jsonBody bool, h http.Handler) http.H
 	return f.injector.Middleware(endpoint, jsonBody, h)
 }
 
-// startInproc dispatches the crawler's HTTP clients through an in-process
-// RoundTripper — same handlers, same bytes, no sockets — and binds every
+// startInproc dispatches the fetcher's HTTP client through an in-process
+// RoundTripper — same handlers, same bytes, no sockets — serves the
+// poller's pages straight from the platform networks, and binds every
 // other port directly to the Sim.
 func (f *FreePhish) startInproc() error {
 	rt := world.NewHandlerTransport()
 	rt.Handle("web.inproc", f.chaos("web", false, f.Sim.WebHandler()))
-	endpoints := make(map[threat.Platform]string, len(f.Sim.Networks))
+	// The poller never dials: its endpoint map only names the platforms.
+	platforms := make(map[threat.Platform]string, len(f.Sim.Networks))
 	for _, plat := range f.Sim.Platforms() {
-		h, _ := f.Sim.PlatformHandler(plat)
-		host := string(plat) + ".inproc"
-		rt.Handle(host, f.chaos(string(plat), true, h))
-		endpoints[plat] = "http://" + host
+		platforms[plat] = ""
 	}
 	// No Timeout: the handler runs on the caller's goroutine, so a deadline cuts nothing short, yet arms a timer per request.
 	client := &http.Client{Transport: rt}
-	f.wirePipeline("http://web.inproc", endpoints, client)
+	f.wirePipeline("http://web.inproc", platforms, client)
 	var portFault func(endpoint, key string) error
 	if f.injector != nil {
 		portFault = f.injector.PortFault
 	}
+	f.poller.Pages = world.Pages(f.Sim.Networks, portFault)
 	f.world = world.WithJournal(
 		world.WithRetry(world.WithFaults(world.Inproc(f.Sim), portFault), f.retryPol),
 		f.Metrics.Journal)

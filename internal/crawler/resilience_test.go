@@ -3,9 +3,11 @@ package crawler
 import (
 	"context"
 	"errors"
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -65,6 +67,49 @@ func TestPollerNoProgressPageFailsPoll(t *testing.T) {
 	second, _ := since.Load().(string)
 	if first != second {
 		t.Fatalf("cursor advanced across a failed poll: since %q -> %q", first, second)
+	}
+}
+
+// TestPollerOversizedPageFailsCycle: a well-formed page longer than
+// maxPageBytes fails the platform's cycle on its first attempt, without
+// retries, and leaves the cursor where it was.
+func TestPollerOversizedPageFailsCycle(t *testing.T) {
+	text := strings.Repeat("a", 64<<10)
+	var calls atomic.Int64
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		calls.Add(1)
+		w.Header().Set("Content-Type", "application/json")
+		io.WriteString(w, "[")
+		for i := 0; i*len(text) <= 2*maxPageBytes; i++ {
+			if i > 0 {
+				io.WriteString(w, ",")
+			}
+			fmt.Fprintf(w, `{"id":"twitter-%d","platform":"twitter","text":"%s https://a%d.weebly.com/","created_at":"2022-11-01T00:01:00Z"}`, i, text, i)
+		}
+		io.WriteString(w, "]")
+	}))
+	defer srv.Close()
+
+	p := NewPoller(map[threat.Platform]string{threat.Twitter: srv.URL}, nil, epoch)
+	p.Retry = &retry.Policy{MaxAttempts: 4, Sleep: retry.NoSleep}
+	var failure error
+	p.ObserveFailure = func(plat threat.Platform, err error) { failure = err }
+	out, err := p.Poll(epoch.Add(10 * time.Minute))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(out) != 0 || p.Failed != 1 {
+		t.Fatalf("oversized page streamed %d URLs, Failed = %d; want 0 and 1", len(out), p.Failed)
+	}
+	var tooLarge *http.MaxBytesError
+	if !errors.As(failure, &tooLarge) || tooLarge.Limit != maxPageBytes {
+		t.Fatalf("failure = %v, want a %d-byte MaxBytesError", failure, maxPageBytes)
+	}
+	if n := calls.Load(); n != 1 {
+		t.Errorf("oversized page fetched %d times, want 1 (the same page would come back)", n)
+	}
+	if got := p.State().Cursors[threat.Twitter]; !got.Equal(epoch) {
+		t.Errorf("cursor moved to %v across a failed poll", got)
 	}
 }
 

@@ -7,9 +7,11 @@ import (
 	"time"
 
 	"freephish/internal/blocklist"
+	"freephish/internal/crawler"
 	"freephish/internal/obs"
 	"freephish/internal/report"
 	"freephish/internal/retry"
+	"freephish/internal/social"
 	"freephish/internal/threat"
 	"freephish/internal/world"
 )
@@ -180,5 +182,56 @@ func TestPortKeys(t *testing.T) {
 				t.Errorf("journal event = (%s, %q, %v), want (%s, %q, %v)", ev.Type, ev.URL, ev.Attrs, obs.EvPort, c.url, want)
 			}
 		})
+	}
+}
+
+// TestPageKeys pins the inproc poll page's keys: the chaos pair is
+// (platform, "port|stream.page|<platform>") and the retry key is
+// poll.<platform>, and a blackout named after the platform fails its
+// cycle.
+func TestPageKeys(t *testing.T) {
+	epoch := time.Date(2022, 11, 1, 0, 0, 0, 0, time.UTC)
+	now := epoch
+	nets := map[threat.Platform]*social.Network{
+		threat.Twitter: social.NewNetwork(threat.Twitter, func() time.Time { return now }),
+	}
+	nets[threat.Twitter].Publish("see https://a.weebly.com/", epoch)
+	poller := func(inj *Injector, retried *[]string) *crawler.Poller {
+		p := crawler.NewPoller(map[threat.Platform]string{threat.Twitter: ""}, nil, epoch)
+		p.Pages = world.Pages(nets, inj.PortFault)
+		p.Retry = &retry.Policy{
+			MaxAttempts: 4,
+			Sleep:       retry.NoSleep,
+			OnRetry:     func(key string, _ int, _ time.Duration, _ error) { *retried = append(*retried, key) },
+		}
+		return p
+	}
+
+	type fault struct{ kind, endpoint, key string }
+	var fired []fault
+	inj := NewInjector(1, Profile{ServerErrP: 1, MaxConsecutive: 1})
+	inj.Observe = func(kind, endpoint, key string) { fired = append(fired, fault{kind, endpoint, key}) }
+	var retried []string
+	now = epoch.Add(10 * time.Minute)
+	got, err := poller(inj, &retried).Poll(now)
+	if err != nil || len(got) != 1 {
+		t.Fatalf("poll = %v, %v; want the one URL", got, err)
+	}
+	if want := []string{"poll.twitter"}; !reflect.DeepEqual(retried, want) {
+		t.Errorf("retry keys = %q, want %q", retried, want)
+	}
+	if want := []fault{{KindServerErr, "twitter", "port|stream.page|twitter"}}; !reflect.DeepEqual(fired, want) {
+		t.Errorf("chaos faults = %q, want %q", fired, want)
+	}
+
+	dark := NewInjector(1, Profile{Blackouts: []Blackout{{Endpoint: "twitter", Length: time.Hour}}})
+	dark.SetClock(func() time.Time { return now }, epoch)
+	retried = nil
+	p := poller(dark, &retried)
+	if got, err := p.Poll(now); err != nil || len(got) != 0 || p.Failed != 1 {
+		t.Fatalf("blacked-out poll = %v, %v, failed=%d; want an empty failed cycle", got, err, p.Failed)
+	}
+	if n := dark.Counts()[KindBlackout]; n != 4 {
+		t.Errorf("blackout faults = %d, want one per attempt (4)", n)
 	}
 }

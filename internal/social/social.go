@@ -146,6 +146,22 @@ func (n *Network) Len() int {
 // callers page through bursts with the offset parameter.
 const MaxPageSize = 200
 
+// Page returns one streaming-API page: the posts Since(since) returns,
+// from offset on, at most MaxPageSize of them, and whether another page
+// follows. An offset past the end yields an empty last page. GET /posts
+// serves exactly this page.
+func (n *Network) Page(since time.Time, offset int) (page []*Post, more bool) {
+	posts := n.Since(since)
+	if offset > len(posts) {
+		offset = len(posts)
+	}
+	page = posts[offset:]
+	if len(page) > MaxPageSize {
+		return page[:MaxPageSize], true
+	}
+	return page, false
+}
+
 // removeRequest is the moderation endpoint's body; a zero At means "now".
 type removeRequest struct {
 	At time.Time `json:"at"`
@@ -192,13 +208,8 @@ func (n *Network) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 			}
 			offset = v
 		}
-		posts := n.Since(since)
-		if offset > len(posts) {
-			offset = len(posts)
-		}
-		page := posts[offset:]
-		if len(page) > MaxPageSize {
-			page = page[:MaxPageSize]
+		page, more := n.Page(since, offset)
+		if more {
 			w.Header().Set("X-More", "1")
 		}
 		w.Header().Set("Content-Type", "application/json")

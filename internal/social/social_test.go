@@ -56,6 +56,37 @@ func TestRemovedPostsInvisible(t *testing.T) {
 	}
 }
 
+// TestPageBoundaries: Page caps a burst at MaxPageSize with more set,
+// pages on by offset, and clamps an offset past the end to an empty last
+// page.
+func TestPageBoundaries(t *testing.T) {
+	now := epoch.Add(time.Hour)
+	n := NewNetwork(threat.Twitter, func() time.Time { return now })
+	total := MaxPageSize + 7
+	for i := 0; i < total; i++ {
+		n.Publish(fmt.Sprintf("post %d", i), epoch.Add(time.Duration(i)*time.Second))
+	}
+	cases := []struct {
+		offset, want int
+		more         bool
+	}{
+		{0, MaxPageSize, true},
+		{MaxPageSize, 7, false},
+		{total, 0, false},
+		{total + 50, 0, false},
+	}
+	for _, c := range cases {
+		page, more := n.Page(epoch, c.offset)
+		if len(page) != c.want || more != c.more {
+			t.Errorf("Page(offset %d) = %d posts, more=%v; want %d, %v", c.offset, len(page), more, c.want, c.more)
+		}
+	}
+	page, _ := n.Page(epoch, MaxPageSize)
+	if page[0].Text != fmt.Sprintf("post %d", MaxPageSize) {
+		t.Errorf("second page starts at %q", page[0].Text)
+	}
+}
+
 func TestHTTPAPI(t *testing.T) {
 	now := epoch
 	n := NewNetwork(threat.Twitter, func() time.Time { return now })

@@ -9,9 +9,9 @@ import (
 )
 
 // Inproc returns the in-process adapter set: every port is the Sim
-// itself. Stream and Snap are left nil — the caller wires its poller and
-// fetcher (typically over a HandlerTransport from Transport) into those
-// slots, so the HTTP-shaped components run unchanged with zero sockets.
+// itself. Stream and Snap are left nil — the caller wires its poller
+// (typically reading through Pages) and fetcher (typically over a
+// HandlerTransport) into those slots, with zero sockets.
 func Inproc(s *Sim) World {
 	return World{
 		Intel:    s,
@@ -25,8 +25,8 @@ func Inproc(s *Sim) World {
 // HandlerTransport is an http.RoundTripper that dispatches requests to
 // in-process handlers keyed on the request's URL host — the same bytes a
 // loopback server would produce, without sockets. It lets the crawler's
-// fetcher and poller (real net/http clients) run against the simulation
-// with no listeners, which is what keeps the inproc backend byte-for-byte
+// fetcher (a real net/http client) run against the simulation with no
+// listeners, which is what keeps the inproc backend byte-for-byte
 // identical to serving the handlers over TCP.
 type HandlerTransport struct {
 	hosts map[string]http.Handler

@@ -2,12 +2,15 @@ package world
 
 import (
 	"context"
+	"fmt"
 	"time"
 
 	"freephish/internal/blocklist"
+	"freephish/internal/crawler"
 	"freephish/internal/obs"
 	"freephish/internal/report"
 	"freephish/internal/retry"
+	"freephish/internal/social"
 	"freephish/internal/threat"
 )
 
@@ -55,8 +58,10 @@ func WithJournal(w World, j *obs.Journal) World {
 // intercept implements the five stateful ports over an inner World and
 // runs every call through exactly one slot: a pre-call fault, a retry
 // policy, or a post-call journal record. Stream and Snap are never
-// wrapped — the poller and fetcher carry their own retry, chaos and
-// instrumentation at the HTTP layer.
+// wrapped: the poller and fetcher retry and observe themselves. The
+// fetcher meets chaos at the HTTP layer on both backends; the poller
+// meets it there on the http backend and through Pages' fault slot on
+// the inproc one.
 type intercept struct {
 	w       World
 	fault   func(endpoint, key string) error
@@ -137,6 +142,33 @@ var portOps = [...]struct{ family, name string }{
 	opDisclose:   {"reports", "reports.disclose"},
 	opTruth:      {"oracle", "oracle.truth"},
 	opRelease:    {"oracle", "oracle.release"},
+}
+
+// pageKey is the chaos key stem of one in-process poll page (see Pages);
+// the poller's own retry key is poll.<platform>.
+const pageKey = "stream.page"
+
+// Pages is the inproc poller's page source (Sim.Networks in a study):
+// each page comes straight from the platform's network through
+// social.Network.Page, the page GET /posts serves, with no HTTP request
+// or JSON codec. fault, when non-nil, runs before each page with the
+// platform as endpoint, so blackouts match on the platform name as they
+// do over HTTP, and the key "stream.page|<platform>"; a non-nil answer
+// fails the attempt.
+func Pages(networks map[threat.Platform]*social.Network, fault func(endpoint, key string) error) crawler.PageSource {
+	return func(plat threat.Platform, since time.Time, offset int) ([]*social.Post, bool, error) {
+		if fault != nil {
+			if err := fault(string(plat), pageKey+"|"+string(plat)); err != nil {
+				return nil, false, err
+			}
+		}
+		nw, ok := networks[plat]
+		if !ok {
+			return nil, false, fmt.Errorf("world: no platform %q", plat)
+		}
+		page, more := nw.Page(since, offset)
+		return page, more, nil
+	}
 }
 
 // portCall describes one call to the slots. sub is the feed entity of

@@ -4,9 +4,10 @@
 // channels — plus two interchangeable adapter sets:
 //
 //   - Inproc wires the ports straight to the simulation substrate (Sim),
-//     with HTTP-shaped components (fetcher, poller) dispatched through an
-//     in-process RoundTripper. Zero sockets, bit-identical to the study
-//     the pipeline has always produced.
+//     with the fetcher dispatched through an in-process RoundTripper and
+//     the poller reading pages from the platforms through Pages. Zero
+//     sockets, bit-identical to the study the pipeline has always
+//     produced.
 //   - OverHTTP speaks to real net/http servers: the virtual-host web
 //     server, the platform APIs, the blocklist feeds, and a SimAPI server
 //     exposing intelligence/assessment/report endpoints. This is the
