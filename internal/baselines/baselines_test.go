@@ -2,6 +2,7 @@ package baselines
 
 import (
 	"bytes"
+	"encoding/json"
 	"strings"
 	"testing"
 	"time"
@@ -281,6 +282,24 @@ func TestStackDetectorSaveLoad(t *testing.T) {
 	}
 	if _, err := LoadStackDetector(strings.NewReader(`{"label":"x"}`)); err == nil {
 		t.Fatal("payload without model accepted")
+	}
+	// A feature view that does not match the model's width is rejected:
+	// Score would build vectors of the wrong length.
+	buf.Reset()
+	if err := d.Save(&buf); err != nil {
+		t.Fatal(err)
+	}
+	var dto stackDetectorDTO
+	if err := json.Unmarshal(buf.Bytes(), &dto); err != nil {
+		t.Fatal(err)
+	}
+	dto.Names = dto.Names[1:]
+	short, err := json.Marshal(dto)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := LoadStackDetector(bytes.NewReader(short)); err == nil {
+		t.Fatal("payload with fewer feature names than the model accepted")
 	}
 }
 

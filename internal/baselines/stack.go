@@ -192,6 +192,9 @@ func LoadStackDetector(r io.Reader) (*StackDetector, error) {
 	if len(dto.Names) == 0 {
 		return nil, fmt.Errorf("baselines: detector payload missing feature names")
 	}
+	if len(dto.Names) != model.NumFeatures() {
+		return nil, fmt.Errorf("baselines: detector payload names %d features for a %d-feature model", len(dto.Names), model.NumFeatures())
+	}
 	return &StackDetector{label: dto.Label, names: dto.Names, seed: dto.Seed, model: model}, nil
 }
 

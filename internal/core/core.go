@@ -26,6 +26,7 @@ import (
 	"freephish/internal/faults"
 	"freephish/internal/features"
 	"freephish/internal/obs"
+	"freephish/internal/par"
 	"freephish/internal/pipe"
 	"freephish/internal/retry"
 	"freephish/internal/simclock"
@@ -334,14 +335,24 @@ func (f *FreePhish) Train() error {
 	}
 	fwbCorpus, selfCorpus := f.Sim.GroundTruthCorpus(n)
 	f.Model = baselines.NewFreePhishModel(f.Config.Seed)
-	f.Model.SetParallelism(f.Config.Workers)
-	if err := f.Model.Train(labeledPages(fwbCorpus)); err != nil {
-		return fmt.Errorf("core: train FreePhish model: %w", err)
-	}
 	f.BaseModel = baselines.NewBaseStackModel(f.Config.Seed)
-	f.BaseModel.SetParallelism(f.Config.Workers)
-	if err := f.BaseModel.Train(labeledPages(selfCorpus)); err != nil {
-		return fmt.Errorf("core: train base model: %w", err)
+	// The two stacks share nothing, so they fit concurrently when Workers
+	// allows: each one idles a core during its serial meta fit, which the
+	// other fills. Errors report FreePhish first, as sequential fits did.
+	type stackFit struct {
+		model  *baselines.StackDetector
+		corpus []world.Sample
+		what   string
+	}
+	fits := []stackFit{{f.Model, fwbCorpus, "FreePhish model"}, {f.BaseModel, selfCorpus, "base model"}}
+	if _, err := par.MapOrdered(f.Config.Workers, fits, func(_ int, fit stackFit) (struct{}, error) {
+		fit.model.SetParallelism(f.Config.Workers)
+		if err := fit.model.Train(labeledPages(fit.corpus)); err != nil {
+			return struct{}{}, fmt.Errorf("core: train %s: %w", fit.what, err)
+		}
+		return struct{}{}, nil
+	}); err != nil {
+		return err
 	}
 	if f.Config.Cascade != nil {
 		// The triage scorer sees both cohorts' URLs (it must rank FWB and

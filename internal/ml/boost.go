@@ -46,6 +46,10 @@ type GradientBooster struct {
 	Config BoostConfig
 	trees  []*regTree
 	bias   float64
+	// memoSlots, when nonzero, replaces the split-search memo's cap of
+	// memoCellFactor × rows × features int32 slots; negative disables the
+	// memo. Tests set it to pin that the cap never changes a model.
+	memoSlots int
 }
 
 // NewGBDT returns a classic first-order GBDT (Friedman), the first-layer
@@ -123,20 +127,17 @@ func (gb *GradientBooster) fit(d *Dataset) error {
 		idx[i] = i
 	}
 	workers := par.N(gb.Config.Parallelism)
-	ctx := &buildCtx{
-		X: d.X, grad: grad, hess: hess,
-		p: treeParams{
-			maxDepth:       gb.Config.MaxDepth,
-			maxLeaves:      gb.Config.MaxLeaves,
-			leafWise:       gb.Config.LeafWise,
-			minSamplesLeaf: gb.Config.MinSamplesLeaf,
-			lambda:         gb.Config.Lambda,
-			gamma:          gb.Config.Gamma,
-			useHessian:     gb.Config.UseHessian,
-			bins:           gb.Config.Bins,
-			workers:        workers,
-		},
-	}
+	ctx := newBuildCtx(d.X, grad, hess, treeParams{
+		maxDepth:       gb.Config.MaxDepth,
+		maxLeaves:      gb.Config.MaxLeaves,
+		leafWise:       gb.Config.LeafWise,
+		minSamplesLeaf: gb.Config.MinSamplesLeaf,
+		lambda:         gb.Config.Lambda,
+		gamma:          gb.Config.Gamma,
+		useHessian:     gb.Config.UseHessian,
+		bins:           gb.Config.Bins,
+		workers:        workers,
+	}, gb.memoSlots)
 	for round := 0; round < gb.Config.Rounds; round++ {
 		for i := 0; i < n; i++ {
 			p := sigmoid(raw[i])
