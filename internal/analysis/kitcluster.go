@@ -17,8 +17,13 @@ import (
 // tokens plus the static resource paths it includes. Per-page random
 // attributes (ids, data blobs) are excluded by construction.
 func PageSignature(html string) map[string]bool {
+	return DocSignature(htmlx.Parse(html))
+}
+
+// DocSignature is PageSignature over an already parsed page, so a caller
+// holding the crawler's parse does not parse the page again.
+func DocSignature(doc *htmlx.Node) map[string]bool {
 	sig := make(map[string]bool)
-	doc := htmlx.Parse(html)
 	doc.Walk(func(n *htmlx.Node) bool {
 		if n.Type != htmlx.ElementNode {
 			return true

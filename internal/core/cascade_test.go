@@ -174,3 +174,30 @@ func TestCascadeDegenerateEquivalence(t *testing.T) {
 		t.Fatalf("degenerate cascade journal contains %s events", obs.EvClassifiedLexical)
 	}
 }
+
+// TestLexicalAdmissionSignature pins the page signature of a URL-only
+// admission. Full-path admissions take it from the fetch stage's parse; a
+// lexical record was never fetched and has no parse, so its signature is
+// the empty page's: an empty, non-nil map.
+func TestLexicalAdmissionSignature(t *testing.T) {
+	cfg := streamSweepConfig(2, 4, BackendInproc)
+	cfg.Cascade = DefaultCascade()
+	f := New(cfg)
+	study, err := f.Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	lexical := 0
+	for _, r := range study.Records {
+		if r.Tier != "lexical" {
+			continue
+		}
+		lexical++
+		if r.Signature == nil || len(r.Signature) != 0 {
+			t.Fatalf("lexical record %s has signature %v, want an empty non-nil map", r.Target.URL, r.Signature)
+		}
+	}
+	if lexical == 0 {
+		t.Fatal("no lexical admissions; the check is vacuous")
+	}
+}

@@ -805,6 +805,15 @@ func (f *FreePhish) applyLexical(p *probeResult, now time.Time) error {
 	return f.admitRecord(p, p.lexScore, "lexical", now)
 }
 
+// pageSignature is the page's kit-family signature, from the fetch
+// stage's parse when the snapshot carries one.
+func pageSignature(page features.Page) map[string]bool {
+	if page.Doc != nil {
+		return analysis.DocSignature(page.Doc)
+	}
+	return analysis.PageSignature(page.HTML)
+}
+
 // admitRecord is the shared admission tail for a flagged URL: profile the
 // target, collect blocklist/VT/moderation assessments, disclose through
 // the reporting module, add the analysis record, and register it with the
@@ -833,7 +842,7 @@ func (f *FreePhish) admitRecord(p *probeResult, score float64, tier string, now 
 		Classified:      true,
 		ClassifiedAt:    now,
 		Tier:            tier,
-		Signature:       analysis.PageSignature(page.HTML),
+		Signature:       pageSignature(page),
 	}
 	verdicts, vt, err := f.world.Feeds.Assess(target)
 	if err != nil {

@@ -16,6 +16,12 @@ func FuzzParse(f *testing.F) {
 		"<a href='x?a>b'>t</a></span></div>",
 		"<<<>>><input type=password>",
 		"\x00\xff<weird>",
+		"<SCRIPT>x</SCRIPT><p>y",
+		"<script>a</SCRIPT",
+		"<script></scrip</script>",
+		"<style>a</",
+		"<title>\xff\xff</title><b>y</b>",
+		"<textarea>İ\u212a</TEXTAREA>",
 	}
 	for _, s := range seeds {
 		f.Add(s)

@@ -127,9 +127,7 @@ func (z *Tokenizer) readText() Token {
 // readRawText consumes raw content for script/style/textarea/title up to the
 // matching close tag. The close tag itself is left for the next call.
 func (z *Tokenizer) readRawText() Token {
-	closing := "</" + z.rawTag
-	lower := strings.ToLower(z.src[z.pos:])
-	idx := strings.Index(lower, closing)
+	idx := indexCloseTag(z.src[z.pos:], z.rawTag)
 	var raw string
 	if idx < 0 {
 		raw = z.src[z.pos:]
@@ -140,6 +138,43 @@ func (z *Tokenizer) readRawText() Token {
 	}
 	z.rawTag = ""
 	return Token{Type: TextToken, Data: raw, Raw: raw}
+}
+
+// indexCloseTag returns the offset of the first "</"+tag in s, matching the
+// tag name ASCII case-insensitively, or -1. tag must be lower-case ASCII.
+// Offsets are into s itself: nothing is case-mapped, so a rune whose lower
+// case has another UTF-8 length, or an invalid byte, cannot shift the cut.
+// (strings.EqualFold would not do: it folds U+212A KELVIN SIGN to 'k'.)
+func indexCloseTag(s, tag string) int {
+	for off := 0; ; {
+		i := strings.Index(s[off:], "</")
+		if i < 0 {
+			return -1
+		}
+		i += off
+		if hasPrefixFoldASCII(s[i+2:], tag) {
+			return i
+		}
+		off = i + 2
+	}
+}
+
+// hasPrefixFoldASCII reports whether s starts with the lower-case ASCII
+// prefix, ignoring the case of ASCII letters in s.
+func hasPrefixFoldASCII(s, prefix string) bool {
+	if len(s) < len(prefix) {
+		return false
+	}
+	for i := 0; i < len(prefix); i++ {
+		c := s[i]
+		if 'A' <= c && c <= 'Z' {
+			c += 'a' - 'A'
+		}
+		if c != prefix[i] {
+			return false
+		}
+	}
+	return true
 }
 
 // readMarkup consumes a tag, comment, or doctype starting at '<'. It reports

@@ -1,7 +1,6 @@
 package simclock
 
 import (
-	"hash/fnv"
 	"math"
 	"math/rand"
 	"sync"
@@ -10,16 +9,38 @@ import (
 // RNG is a named, deterministic random stream. Every stochastic component
 // derives its stream from the run seed plus a stable name, so adding a new
 // component never perturbs the draws of existing ones.
+//
+// The stream is rand.New(rand.NewSource(seed ^ FNV-1a(name))), draw for
+// draw, but its source is seeded lazily (see lazySource): most streams draw
+// a handful of values and never pay for math/rand's 4.9 KB state.
 type RNG struct {
-	mu sync.Mutex
-	r  *rand.Rand
+	mu  sync.Mutex
+	src lazySource
+	r   *rand.Rand
 }
 
 // NewRNG derives a stream from seed and a stable name.
 func NewRNG(seed int64, name string) *RNG {
-	h := fnv.New64a()
-	h.Write([]byte(name))
-	return &RNG{r: rand.New(rand.NewSource(seed ^ int64(h.Sum64())))}
+	return seededRNG(seed ^ int64(fnv64a(name)))
+}
+
+// seededRNG returns the stream rand.New(rand.NewSource(seed)) yields.
+func seededRNG(seed int64) *RNG {
+	g := &RNG{}
+	g.src.Seed(seed)
+	g.r = rand.New(&g.src)
+	return g
+}
+
+// fnv64a is hash/fnv's 64-bit FNV-1a, inlined so that deriving a stream
+// allocates no hasher and no byte copy of the name.
+func fnv64a(s string) uint64 {
+	h := uint64(14695981039346656037)
+	for i := 0; i < len(s); i++ {
+		h ^= uint64(s[i])
+		h *= 1099511628211
+	}
+	return h
 }
 
 // Float64 returns a uniform draw in [0, 1).
