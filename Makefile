@@ -64,9 +64,10 @@ VERIFY_shards := TestShardDeterminism|TestShardRetryReplaysExactly|TestShardRetr
 # resume: a run killed at any ordered-apply cut point and resumed from
 # its checkpoint must yield byte-identical records, journal, and stats —
 # at every worker count, on both backends, under the default chaos
-# profile — and a failed shard attempt must be fully closed and surfaced
-# (counter + ops event), never leaked.
-VERIFY_resume := TestResumeByteIdentical|TestResumeFromCheckpointFile|TestResumeRejectsFingerprintMismatch|TestCheckpointRejectedWithShards|TestShardRetryDoesNotLeak|TestShardCoordinatorFailureClosesSiblings
+# profile; every cut must equal the reference encoding of its checkpoint
+# byte for byte — and a failed shard attempt must be fully closed and
+# surfaced (counter + ops event), never leaked.
+VERIFY_resume := TestResumeByteIdentical|TestCheckpointCutsMatchReference|TestResumeFromCheckpointFile|TestResumeRejectsFingerprintMismatch|TestCheckpointRejectedWithShards|TestShardRetryDoesNotLeak|TestShardCoordinatorFailureClosesSiblings
 # remote-shards: shards dispatched to a remote worker daemon over the
 # shardrpc wire protocol must yield records, journal, and stats
 # byte-identical to in-process dispatch — at shards 2 and 4, on both

@@ -120,9 +120,10 @@ func (d *dispatcher) runShard(i int) (*state.Snapshot, error) {
 		adopted := len(lastChk) > 0
 		// Both runners deliver checkpoints synchronously from this shard's
 		// goroutine (the local child's driver loop, or the RPC client's
-		// frame decoder), so lastChk needs no lock.
+		// frame decoder), so lastChk needs no lock, and each data slice is
+		// handed over (shard.Runner), so it is kept without a copy.
 		onChk := func(data []byte) error {
-			lastChk = append(lastChk[:0], data...)
+			lastChk = data
 			f.observeShardCheckpoint(i, attempt, data)
 			return nil
 		}

@@ -2,6 +2,9 @@ package core
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
+	"encoding/json"
 	"fmt"
 	"path/filepath"
 	"strings"
@@ -153,6 +156,87 @@ func TestResumeByteIdentical(t *testing.T) {
 	rcfg.Resume = chk
 	rrec, rjournal, rstats, _ := runResumeStudy(t, "cross-backend resume", rcfg, donor, nil)
 	diffCascadeRun(t, "inproc/1 cut resumed on http/8", baseRec, rrec, baseJournal, rjournal, baseStats, rstats)
+}
+
+// referenceCheckpoint is the checkpoint envelope as encoding/json writes
+// it: the payload marshalled, then the envelope marshalled around it.
+func referenceCheckpoint(t *testing.T, chk *state.Checkpoint) []byte {
+	t.Helper()
+	payload, err := json.Marshal(chk)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sum := sha256.Sum256(payload)
+	env, err := json.Marshal(struct {
+		Version int             `json:"version"`
+		Kind    string          `json:"kind,omitempty"`
+		SHA256  string          `json:"sha256"`
+		Payload json.RawMessage `json:"payload"`
+	}{1, "checkpoint", hex.EncodeToString(sum[:]), payload})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return env
+}
+
+// TestCheckpointCutsMatchReference is the gate on the run's checkpoint
+// encoder, which re-encodes only what changed since the previous cut:
+// every cut of a fresh and of a resumed run (whose encoder starts from
+// restored, canonically sorted records) must be byte-identical to the
+// reference encoding of the same checkpoint — with the journal, the
+// default fault profile and the monitor on, on both backends. The cut
+// bytes are kept as handed over, uncopied, and re-checked at the end of
+// the run: a later cut must never write into an earlier one.
+func TestCheckpointCutsMatchReference(t *testing.T) {
+	var donor *FreePhish
+	for _, backend := range []string{BackendInproc, BackendHTTP} {
+		run := func(label string, resume *state.Checkpoint) (cuts [][]byte) {
+			cfg := resumeSweepConfig(1, backend)
+			cfg.CheckpointEvery = 1
+			cfg.Resume = resume
+			f := New(cfg)
+			if donor != nil {
+				donateModels(f, donor)
+			}
+			var want [][]byte
+			f.checkpointSink = func(data []byte) error {
+				ref := referenceCheckpoint(t, f.buildCheckpoint())
+				if !bytes.Equal(data, ref) {
+					t.Fatalf("%s %s: cut %d differs from the reference encoding (%d vs %d bytes)",
+						backend, label, len(cuts), len(data), len(ref))
+				}
+				cuts, want = append(cuts, data), append(want, ref)
+				return nil
+			}
+			if _, err := f.Run(); err != nil {
+				t.Fatalf("%s %s: %v", backend, label, err)
+			}
+			if donor == nil {
+				donor = f
+			}
+			for i := range cuts {
+				if !bytes.Equal(cuts[i], want[i]) {
+					t.Fatalf("%s %s: cut %d changed after it was handed over", backend, label, i)
+				}
+			}
+			return cuts
+		}
+		cuts := run("fresh", nil)
+		if len(cuts) < 10 {
+			t.Fatalf("%s: only %d cuts; the gate is vacuous", backend, len(cuts))
+		}
+		chk, err := state.DecodeCheckpoint(cuts[len(cuts)/2])
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(chk.Snapshot.Records) == 0 || len(chk.Snapshot.Events) == 0 {
+			t.Fatalf("%s: the resume point holds %d records and %d events; the gate is vacuous",
+				backend, len(chk.Snapshot.Records), len(chk.Snapshot.Events))
+		}
+		if resumed := run("resumed", chk); len(resumed) < 5 {
+			t.Fatalf("%s: only %d cuts after the resume", backend, len(resumed))
+		}
+	}
 }
 
 // TestResumeFromCheckpointFile drives the operator path end to end: a run

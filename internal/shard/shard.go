@@ -33,7 +33,10 @@ type Spec struct {
 //
 // onCheckpoint is invoked with each encoded checkpoint the running shard
 // cuts at its ordered-apply boundaries, in order, before the final snapshot
-// is returned; the coordinator keeps the last one as the adoption point. If
+// is returned; the coordinator keeps the last one as the adoption point.
+// Each data slice is handed over to the callee: the runner passes a fresh
+// slice per checkpoint and never touches it again, so the callee may keep
+// it without copying. If
 // onCheckpoint returns an error the run must fail — a coordinator that can
 // no longer receive checkpoints has lost its failover guarantee for this
 // attempt, so the runner surfaces that instead of running on silently.
