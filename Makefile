@@ -60,7 +60,10 @@ VERIFY_cascade := TestCascadeDeterminism|TestCascadeDegenerateEquivalence
 # backends, with pipeline parallelism inside each shard, under the
 # default chaos profile, and through the coordinator's shard-retry path —
 # and a shard whose records fail its own world audit must fail its attempt.
-VERIFY_shards := TestShardDeterminism|TestShardRetryReplaysExactly|TestShardRetryExhaustionFails|TestShardAuditFailureFailsAttempt
+# A spec runner trains once per training input, whatever the studies'
+# windows, chaos, journal, thresholds or shard positions, and every shard
+# child times its classify stage into its own histograms.
+VERIFY_shards := TestShardDeterminism|TestShardRetryReplaysExactly|TestShardRetryExhaustionFails|TestShardAuditFailureFailsAttempt|TestSpecRunnerTrainsOncePerTrainingInput|TestShardChildrenObserveClassifyStages
 # resume: a run killed at any ordered-apply cut point and resumed from
 # its checkpoint must yield byte-identical records, journal, and stats —
 # at every worker count, on both backends, under the default chaos

@@ -2,7 +2,7 @@ package freephish_test
 
 // Parallelism benchmarks: the same pipeline and trainer workloads at
 // several worker-pool sizes, so the speedup (or, on a single-core CI
-// machine, the overhead) of the internal/par fan-out is a measured number
+// machine, the overhead) of the pipe fan-out is a measured number
 // rather than a claim. TestWriteParallelBenchBaseline snapshots them as
 // machine-readable JSON (BENCH_parallel.json) for bench-compare.
 

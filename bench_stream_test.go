@@ -18,7 +18,6 @@ import (
 	"time"
 
 	"freephish/internal/obs"
-	"freephish/internal/par"
 	"freephish/internal/pipe"
 	"freephish/internal/simclock"
 )
@@ -80,13 +79,13 @@ func barrierBench(b *testing.B) {
 	want := streamWant()
 	b.ResetTimer()
 	for n := 0; n < b.N; n++ {
-		fetched, err := par.MapOrdered(streamWorkers, idx, func(_ int, i int) (uint64, error) {
+		fetched, err := pipe.MapOrdered(streamWorkers, idx, func(_ int, i int) (uint64, error) {
 			return streamFetch(delays[i], i), nil
 		})
 		if err != nil {
 			b.Fatal(err)
 		}
-		classified, err := par.MapOrdered(streamWorkers, fetched, func(_ int, v uint64) (uint64, error) {
+		classified, err := pipe.MapOrdered(streamWorkers, fetched, func(_ int, v uint64) (uint64, error) {
 			return streamClassify(v), nil
 		})
 		if err != nil {

@@ -8,7 +8,6 @@ import (
 	"math"
 	"sort"
 	"sync"
-	"time"
 
 	"freephish/internal/features"
 	"freephish/internal/ml"
@@ -28,11 +27,8 @@ type StackDetector struct {
 	names []string
 	seed  int64
 	model *ml.StackModel
-	// observe, when set via SetObserver, receives per-stage timings from
-	// Score ("extract" and "infer").
-	observe func(stage string, d time.Duration)
 	// impOnce caches the trained model's feature importances: walking the
-	// forest is far too slow for the per-URL ScoreExplained path.
+	// forest is far too slow for the per-URL Explain path.
 	impOnce sync.Once
 	imp     []float64
 }
@@ -49,11 +45,6 @@ func NewFreePhishModel(seed int64) *StackDetector {
 
 // Seed reports the seed the detector was constructed (or restored) with.
 func (s *StackDetector) Seed() int64 { return s.seed }
-
-// SetObserver installs fn to receive per-stage Score timings: stage
-// "extract" (feature extraction) and "infer" (stacked-model inference).
-// fn must be cheap and safe for the caller's concurrency; nil disables.
-func (s *StackDetector) SetObserver(fn func(stage string, d time.Duration)) { s.observe = fn }
 
 // SetParallelism bounds how many workers the stacked model's Fit may use
 // for its k-fold × base-learner grid; n <= 0 means runtime.GOMAXPROCS(0).
@@ -82,26 +73,27 @@ func (s *StackDetector) Train(samples []LabeledPage) error {
 	return s.model.Fit(d)
 }
 
-// Score implements Detector.
+// Score implements Detector. It is Extract followed by Predict, which
+// callers that time the two stages apart call themselves.
 func (s *StackDetector) Score(p features.Page) (float64, error) {
-	if s.observe == nil {
-		m, err := features.Extract(p)
-		if err != nil {
-			return 0, err
-		}
-		return s.model.PredictProba(features.Vector(s.names, m)), nil
-	}
-	t0 := time.Now()
-	m, err := features.Extract(p)
-	s.observe("extract", time.Since(t0))
+	vec, err := s.Extract(p)
 	if err != nil {
 		return 0, err
 	}
-	t1 := time.Now()
-	score := s.model.PredictProba(features.Vector(s.names, m))
-	s.observe("infer", time.Since(t1))
-	return score, nil
+	return s.Predict(vec), nil
 }
+
+// Extract returns p's feature vector in the detector's feature view.
+func (s *StackDetector) Extract(p features.Page) ([]float64, error) {
+	m, err := features.Extract(p)
+	if err != nil {
+		return nil, err
+	}
+	return features.Vector(s.names, m), nil
+}
+
+// Predict scores a feature vector from Extract with the stacked model.
+func (s *StackDetector) Predict(vec []float64) float64 { return s.model.PredictProba(vec) }
 
 // Importance returns the trained stack's feature importances, ranked
 // descending — which features the §4.2 model actually consults.
@@ -109,7 +101,7 @@ func (s *StackDetector) Importance() []ml.RankedFeature {
 	return ml.RankFeatures(s.names, s.model.FeatureImportance())
 }
 
-// Contribution is one feature's part of a ScoreExplained verdict: the
+// Contribution is one feature's part of an explained verdict: the
 // extracted value and its weight (importance × value), the per-URL
 // explanation the journal's classified event carries.
 type Contribution struct {
@@ -125,24 +117,11 @@ func (s *StackDetector) importances() []float64 {
 	return s.imp
 }
 
-// ScoreExplained is Score plus an explanation: the top-k features by
-// |importance × value|, descending, name-tiebroken for determinism.
-// Zero-weight features are omitted, so fewer than k entries may return.
-func (s *StackDetector) ScoreExplained(p features.Page, k int) (float64, []Contribution, error) {
-	t0 := time.Now()
-	m, err := features.Extract(p)
-	if s.observe != nil {
-		s.observe("extract", time.Since(t0))
-	}
-	if err != nil {
-		return 0, nil, err
-	}
-	vec := features.Vector(s.names, m)
-	t1 := time.Now()
-	score := s.model.PredictProba(vec)
-	if s.observe != nil {
-		s.observe("infer", time.Since(t1))
-	}
+// Explain is the explanation of a verdict on vec (from Extract): the
+// top-k features by |importance × value|, descending, name-tiebroken for
+// determinism. Zero-weight features are omitted, so fewer than k entries
+// may return.
+func (s *StackDetector) Explain(vec []float64, k int) []Contribution {
 	imp := s.importances()
 	contrib := make([]Contribution, 0, len(vec))
 	for i, v := range vec {
@@ -165,7 +144,7 @@ func (s *StackDetector) ScoreExplained(p features.Page, k int) (float64, []Contr
 	if k > 0 && len(contrib) > k {
 		contrib = contrib[:k]
 	}
-	return score, contrib, nil
+	return contrib
 }
 
 // Save writes the trained detector (feature view + stacked model) to w.

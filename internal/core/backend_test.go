@@ -46,7 +46,7 @@ func TestCrossBackendEquivalence(t *testing.T) {
 	}
 	runBackend := func(backend string) run {
 		t.Helper()
-		f := New(equivalenceConfig(backend))
+		f := newCached(equivalenceConfig(backend))
 		study, err := f.Run()
 		if err != nil {
 			t.Fatalf("%s backend: %v", backend, err)

@@ -18,7 +18,7 @@ func cascadeRun(t *testing.T, workers, depth int, backend string, prof *faults.P
 	cfg.Journal = true
 	cfg.Faults = prof
 	cfg.Cascade = cascade
-	f := New(cfg)
+	f := newCached(cfg)
 	study, err := f.Run()
 	if err != nil {
 		t.Fatalf("workers=%d depth=%d backend=%s: %v", workers, depth, backend, err)
@@ -182,7 +182,7 @@ func TestCascadeDegenerateEquivalence(t *testing.T) {
 func TestLexicalAdmissionSignature(t *testing.T) {
 	cfg := streamSweepConfig(2, 4, BackendInproc)
 	cfg.Cascade = DefaultCascade()
-	f := New(cfg)
+	f := newCached(cfg)
 	study, err := f.Run()
 	if err != nil {
 		t.Fatal(err)

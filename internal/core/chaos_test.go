@@ -27,7 +27,7 @@ func runChaosStudy(t *testing.T, backend string, prof *faults.Profile) chaosRun 
 	t.Helper()
 	cfg := equivalenceConfig(backend)
 	cfg.Faults = prof
-	f := New(cfg)
+	f := newCached(cfg)
 	study, err := f.Run()
 	if err != nil {
 		t.Fatalf("%s backend (faults=%v): %v", backend, prof != nil, err)
@@ -158,7 +158,6 @@ func (s *observedStream) Poll(now time.Time) ([]crawler.StreamedURL, error) {
 // faults fired somewhere, so a poll path that skipped chaos would still
 // pass it.
 func TestChaosReachesEveryPollEndpoint(t *testing.T) {
-	var trained *FreePhish
 	for _, backend := range []string{BackendInproc, BackendHTTP} {
 		cfg := equivalenceConfig(backend)
 		cfg.MonitorInterval = 0 // the streaming path is what is pinned
@@ -167,11 +166,7 @@ func TestChaosReachesEveryPollEndpoint(t *testing.T) {
 		cfg.Duration = 28 * 24 * time.Hour
 		prof := faults.DefaultProfile()
 		cfg.Faults = &prof
-		f := New(cfg)
-		if trained != nil {
-			f.Model, f.BaseModel = trained.Model, trained.BaseModel
-		}
-		trained = f
+		f := newCached(cfg)
 		var st *observedStream
 		f.streamWrap = func(s world.URLStream) world.URLStream {
 			st = &observedStream{inner: s, f: f, fired: map[string]int{}}
@@ -262,7 +257,7 @@ func TestBlackoutSurvivedAndObserved(t *testing.T) {
 		// Twitter's API is dark for two days mid-window.
 		Blackouts: []faults.Blackout{{Endpoint: "twitter", Start: 10 * 24 * time.Hour, Length: 48 * time.Hour}},
 	}
-	f := New(cfg)
+	f := newCached(cfg)
 	study, err := f.Run()
 	if err != nil {
 		t.Fatalf("study did not survive the blackout: %v", err)
@@ -298,7 +293,7 @@ func TestClockSkewPerturbsObservationsDeterministically(t *testing.T) {
 		cfg := equivalenceConfig(BackendInproc)
 		cfg.Faults = &faults.Profile{SkewP: 0.5, SkewMax: 45 * time.Minute}
 		cfg.Shards = shards
-		f := New(cfg)
+		f := newCached(cfg)
 		study, err := f.Run()
 		if err != nil {
 			t.Fatalf("skewed run (shards=%d): %v", shards, err)

@@ -155,16 +155,23 @@ func specFingerprint(sp state.ShardSpec) string {
 	return fingerprintVersion + " " + string(b)
 }
 
-// restoreRun rebuilds the run at the checkpoint instant. Called from
-// runLocal after startServers and SchedulePosts, before the poll
-// subscription, so the replayed events are exactly the posting schedule.
-func (f *FreePhish) restoreRun(chk *state.Checkpoint) error {
+// checkResume refuses a checkpoint cut from another study. Run calls it
+// before training, so a mismatched resume costs no training.
+func (f *FreePhish) checkResume(chk *state.Checkpoint) error {
 	if v, _, _ := strings.Cut(chk.Fingerprint, " "); v != fingerprintVersion {
 		return fmt.Errorf("core: checkpoint fingerprint version %q is not supported (this build reads %s); re-run the study", v, fingerprintVersion)
 	}
 	if got, want := chk.Fingerprint, f.fingerprint(); got != want {
 		return fmt.Errorf("core: checkpoint was cut from a different study configuration:\n  checkpoint: %s\n  this run:   %s", got, want)
 	}
+	return nil
+}
+
+// restoreRun rebuilds the run at the checkpoint instant (checkResume has
+// accepted it). Called from runLocal after startServers and
+// SchedulePosts, before the poll subscription, so the replayed events
+// are exactly the posting schedule.
+func (f *FreePhish) restoreRun(chk *state.Checkpoint) error {
 	// 1. Replay the world to the cut instant. Only posting-schedule events
 	// are queued (the poll subscription and monitors do not exist yet), so
 	// this publishes every pre-cut post and site exactly as the original

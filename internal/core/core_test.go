@@ -30,7 +30,7 @@ func runSmall(t *testing.T) (*FreePhish, *analysis.Study) {
 	if cachedStudy != nil {
 		return cachedFP, cachedStudy
 	}
-	f := New(smallConfig(5))
+	f := newCached(smallConfig(5))
 	study, err := f.Run()
 	if err != nil {
 		t.Fatal(err)
@@ -260,7 +260,7 @@ func TestActiveMonitorObservationsMatchSchedule(t *testing.T) {
 	cfg.Scale = 0.004
 	cfg.TrainPerClass = 120
 	cfg.MonitorInterval = 4 * time.Hour
-	f := New(cfg)
+	f := newCached(cfg)
 	study, err := f.Run()
 	if err != nil {
 		t.Fatal(err)
@@ -316,7 +316,7 @@ func TestResharesDoNotDuplicateRecords(t *testing.T) {
 	cfg.Scale = 0.004
 	cfg.TrainPerClass = 120
 	cfg.ReshareRate = 2.0 // heavy amplification
-	f := New(cfg)
+	f := newCached(cfg)
 	study, err := f.Run()
 	if err != nil {
 		t.Fatal(err)
@@ -383,7 +383,7 @@ func TestStudyDeterministicPerSeed(t *testing.T) {
 	cfg.Scale = 0.003
 	cfg.TrainPerClass = 80
 	run := func() (string, int) {
-		f := New(cfg)
+		f := newCached(cfg)
 		study, err := f.Run()
 		if err != nil {
 			t.Fatal(err)
@@ -397,7 +397,7 @@ func TestStudyDeterministicPerSeed(t *testing.T) {
 	}
 	// A different seed must actually change the draw.
 	cfg.Seed = 42
-	f := New(cfg)
+	f := newCached(cfg)
 	study, err := f.Run()
 	if err != nil {
 		t.Fatal(err)

@@ -7,7 +7,6 @@ import (
 	"sync"
 	"time"
 
-	"freephish/internal/baselines"
 	"freephish/internal/obs"
 	"freephish/internal/retry"
 	"freephish/internal/shard"
@@ -40,7 +39,7 @@ type dispatcher struct {
 	stride  int
 	clients []*shardrpc.Client
 	// local is the in-process fallback runner, its model cache seeded
-	// with the coordinator's trained models.
+	// with the coordinator's trained models under their training key.
 	local *SpecRunner
 	// pol guards remote dispatch: single-attempt Do calls (the adoption
 	// loop owns retries) so every transport failure is a give-up the
@@ -53,9 +52,7 @@ type dispatcher struct {
 // it after training: the local runner starts with the trained models.
 func (f *FreePhish) newDispatcher() *dispatcher {
 	d := &dispatcher{f: f, stride: f.Config.CheckpointEvery, local: NewSpecRunner()}
-	// The coordinator has no shard position, so its fingerprint is exactly
-	// trainedFor's cache key.
-	d.local.models[f.fingerprint()] = &workerModels{model: f.Model, base: f.BaseModel, lexical: f.Lexical}
+	d.local.models[f.trainKey()] = &trainedModels{model: f.Model, base: f.BaseModel, lexical: f.Lexical}
 	if d.stride <= 0 {
 		d.stride = int(24 * time.Hour / f.Config.PollInterval)
 		if d.stride < 1 {
@@ -121,11 +118,11 @@ func (d *dispatcher) runShard(i int) (*state.Snapshot, error) {
 		// Both runners deliver checkpoints synchronously from this shard's
 		// goroutine (the local child's driver loop, or the RPC client's
 		// frame decoder), so lastChk needs no lock, and each data slice is
-		// handed over (shard.Runner), so it is kept without a copy.
-		onChk := func(data []byte) error {
+		// handed over (shard.Runner), so it is kept without a copy. at
+		// gives the cut's instant; it runs only when the journal is on.
+		keep := func(data []byte, at func() string) {
 			lastChk = data
-			f.observeShardCheckpoint(i, attempt, data)
-			return nil
+			f.observeShardCheckpoint(i, attempt, at)
 		}
 		client := d.pick(i, attempt)
 		runner := "local"
@@ -136,7 +133,7 @@ func (d *dispatcher) runShard(i int) (*state.Snapshot, error) {
 		if adopted {
 			f.observeShardAdopt(i, attempt, runner, spec.Resume)
 		}
-		snap, err := d.attempt(client, i, attempt, spec, onChk)
+		snap, err := d.attempt(client, i, attempt, spec, keep)
 		if err != nil {
 			f.observeShardRetry(i, attempt, err)
 			lastErr = err
@@ -152,7 +149,7 @@ func (d *dispatcher) runShard(i int) (*state.Snapshot, error) {
 // attempt runs one attempt of shard i on client, or in-process when
 // client is nil. Both paths end in a SpecRunner: the local one shares the
 // coordinator's trained models and threads its test seams into the child.
-func (d *dispatcher) attempt(client *shardrpc.Client, i, attempt int, spec shard.Spec, onChk func([]byte) error) (*state.Snapshot, error) {
+func (d *dispatcher) attempt(client *shardrpc.Client, i, attempt int, spec shard.Spec, keep func(data []byte, at func() string)) (*state.Snapshot, error) {
 	f := d.f
 	if f.shardHook != nil {
 		if err := f.shardHook(i, attempt); err != nil {
@@ -160,7 +157,13 @@ func (d *dispatcher) attempt(client *shardrpc.Client, i, attempt int, spec shard
 		}
 	}
 	if client == nil {
-		return d.local.run(spec, onChk, func(child *FreePhish) {
+		return d.local.run(spec, nil, func(child *FreePhish) {
+			// A local child hands each cut over at the cut's instant, so
+			// its clock dates the cut without decoding it.
+			child.checkpointSink = func(data []byte) error {
+				keep(data, func() string { return child.Clock.Now().UTC().Format(time.RFC3339) })
+				return nil
+			}
 			child.listen = f.listen
 			if f.shardPrep != nil {
 				f.shardPrep(child, i, attempt)
@@ -169,7 +172,10 @@ func (d *dispatcher) attempt(client *shardrpc.Client, i, attempt int, spec shard
 	}
 	var snap *state.Snapshot
 	err := d.pol.Do(context.Background(), client.Name(), func() error {
-		s, rerr := client.Run(context.Background(), spec, onChk)
+		s, rerr := client.Run(context.Background(), spec, func(data []byte) error {
+			keep(data, func() string { return cutInstant(data) })
+			return nil
+		})
 		snap = s
 		return rerr
 	})
@@ -194,11 +200,12 @@ func (f *FreePhish) shardSpec(i, stride int) state.ShardSpec {
 // complete framework from each spec, runs it to completion, audits its
 // world, and snapshots it. The coordinator's in-process fallback and the
 // worker daemon (cmd/freephish-worker, behind shardrpc.Server) run the
-// same code. Trained models are cached per study fingerprint — training is
-// bit-identical per seed, so a worker retraining from the spec yields
-// byte-for-byte the models the coordinator holds, the coordinator's own
-// runner starts with its models in the cache, and the second shard of the
-// same study skips the cost.
+// same code. Trained models are cached per training input (trainKey) —
+// training is a pure function of it, so a worker training from the spec
+// yields byte-for-byte the models the coordinator holds, the coordinator's
+// own runner starts with its models in the cache, and every later shard of
+// any study with the same training input (whatever its window, chaos,
+// journal, thresholds or shard count) skips the cost.
 type SpecRunner struct {
 	// Workers, when > 0, overrides the spec's probe-pool size with the
 	// worker machine's own parallelism — byte-identity across Workers is
@@ -209,20 +216,17 @@ type SpecRunner struct {
 		Info(msg string, args ...any)
 	}
 
-	mu     sync.Mutex
-	models map[string]*workerModels
-}
+	// train fills the cache on a miss; nil means trainModels. Tests point
+	// it at their package-wide cache.
+	train func(trainKey, int) (*trainedModels, error)
 
-// workerModels is one cached training result.
-type workerModels struct {
-	model   *baselines.StackDetector
-	base    *baselines.StackDetector
-	lexical *baselines.LexicalScorer
+	mu     sync.Mutex
+	models map[trainKey]*trainedModels
 }
 
 // NewSpecRunner returns a SpecRunner with an empty model cache.
 func NewSpecRunner() *SpecRunner {
-	return &SpecRunner{models: make(map[string]*workerModels)}
+	return &SpecRunner{models: make(map[trainKey]*trainedModels)}
 }
 
 // Name implements shard.Runner.
@@ -263,24 +267,13 @@ func (r *SpecRunner) run(spec shard.Spec, onCheckpoint func(data []byte) error, 
 			return nil, fmt.Errorf("core: spec fingerprint mismatch (worker build or spec drift):\n  spec:   %s\n  worker: %s", spec.Fingerprint, got)
 		}
 	}
-	m, err := r.trainedFor(child.Config)
+	// Train before decoding Resume, so a spec whose Resume does not decode
+	// still warms the cache.
+	m, err := r.trained(child.trainKey(), cfg.Workers)
 	if err != nil {
 		return nil, err
 	}
-	child.Model = m.model
-	child.BaseModel = m.base
-	child.sharedModels = true
-	if cfg.Cascade != nil && m.lexical != nil {
-		child.Lexical = m.lexical
-		// The cascade pairs the cached scorer with THIS spec's thresholds —
-		// never cached, so two studies differing only in thresholds cannot
-		// poison each other through the model cache.
-		child.cascade = &baselines.Cascade{
-			Scorer:      m.lexical,
-			BenignBelow: cfg.Cascade.BenignBelow,
-			PhishAbove:  cfg.Cascade.PhishAbove,
-		}
-	}
+	child.Model, child.BaseModel, child.Lexical = m.model, m.base, m.lexical
 	child.checkpointSink = onCheckpoint
 	if len(spec.Resume) > 0 {
 		chk, derr := state.DecodeCheckpoint(spec.Resume)
@@ -310,27 +303,27 @@ func (r *SpecRunner) run(spec shard.Spec, onCheckpoint func(data []byte) error, 
 	return child.State.Snapshot(events), nil
 }
 
-// trainedFor returns (training if needed) the models for cfg's study. The
-// cache key is the study fingerprint with the shard position cleared; on
-// a miss a donor framework that never runs trains them, so the cached
-// models carry no per-run observers (the shard children mark them shared).
-func (r *SpecRunner) trainedFor(cfg Config) (*workerModels, error) {
-	key := specFingerprint(studySpec(cfg))
+// trained returns the models for key, training them on the first call
+// for it. Concurrent shards of one study wait for that one training.
+func (r *SpecRunner) trained(key trainKey, workers int) (*trainedModels, error) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if m, ok := r.models[key]; ok {
 		return m, nil
 	}
 	if r.Logger != nil {
-		r.Logger.Info("training models", "fingerprint", key)
+		r.Logger.Info("training models", "seed", key.Seed, "per_class", key.PerClass, "lexical", key.Lexical)
 	}
-	donor := New(cfg)
-	if err := donor.Train(); err != nil {
+	train := r.train
+	if train == nil {
+		train = trainModels
+	}
+	m, err := train(key, workers)
+	if err != nil {
 		return nil, err
 	}
-	m := &workerModels{model: donor.Model, base: donor.BaseModel, lexical: donor.Lexical}
 	if r.models == nil {
-		r.models = make(map[string]*workerModels)
+		r.models = make(map[trainKey]*trainedModels)
 	}
 	r.models[key] = m
 	return m, nil
@@ -436,28 +429,30 @@ func (f *FreePhish) observeShardDispatch(shard, attempt int, runner string, adop
 	}
 }
 
-func (f *FreePhish) observeShardCheckpoint(shard, attempt int, data []byte) {
+func (f *FreePhish) observeShardCheckpoint(shard, attempt int, at func() string) {
 	if j := f.Metrics.Journal; j != nil {
-		at := ""
-		if t, err := state.PeekCheckpointInstant(data); err == nil {
-			at = t.UTC().Format(time.RFC3339)
-		}
 		j.RecordOps("", obs.EvShardCheckpoint,
-			"shard", itoa(shard), "attempt", itoa(attempt), "at", at)
+			"shard", itoa(shard), "attempt", itoa(attempt), "at", at())
 	}
 }
 
 func (f *FreePhish) observeShardAdopt(shard, attempt int, runner string, chk []byte) {
 	f.Metrics.ShardAdopted.With(itoa(shard)).Inc()
 	if j := f.Metrics.Journal; j != nil {
-		from := ""
-		if t, err := state.PeekCheckpointInstant(chk); err == nil {
-			from = t.UTC().Format(time.RFC3339)
-		}
 		j.RecordOps("", obs.EvShardAdopt,
 			"shard", itoa(shard), "attempt", itoa(attempt),
-			"runner", runner, "from", from)
+			"runner", runner, "from", cutInstant(chk))
 	}
+}
+
+// cutInstant is the instant of the encoded checkpoint data as ops events
+// print it, or "" when the bytes do not hold one.
+func cutInstant(data []byte) string {
+	t, err := state.PeekCheckpointInstant(data)
+	if err != nil {
+		return ""
+	}
+	return t.UTC().Format(time.RFC3339)
 }
 
 func (f *FreePhish) observeShardDone(shard, attempt int, runner string) {

@@ -10,6 +10,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"freephish/internal/baselines"
 	"freephish/internal/faults"
@@ -44,14 +45,14 @@ func (r *snapshotRecorder) Run(ctx context.Context, spec shard.Spec, onCheckpoin
 // (core.SpecRunner behind shardrpc.Server — the exact stack
 // cmd/freephish-worker serves) must merge into byte-identical records,
 // journal, and stats at shards {2, 4}, on both backends, and under the
-// default chaos profile. The worker retrains its models from the spec's
-// seed, so byte-identity here proves the whole dispatch boundary: spec
-// serialization, bit-identical remote training, checkpoint streaming, and
-// snapshot wire transport.
+// default chaos profile. The worker derives its models' training input
+// from the spec alone, so byte-identity here proves the whole dispatch
+// boundary: spec serialization, the training key, checkpoint streaming,
+// and snapshot wire transport.
 func TestRemoteShardDeterminism(t *testing.T) {
 	baseRec, baseJournal, baseStats, _ := shardRun(t, 1, 1, BackendInproc, nil)
 
-	recorder := &snapshotRecorder{Runner: NewSpecRunner()}
+	recorder := &snapshotRecorder{Runner: newTestRunner()}
 	srv := httptest.NewServer(&shardrpc.Server{Runner: recorder})
 	defer srv.Close()
 
@@ -111,7 +112,7 @@ func TestShardAdoptionByteIdentical(t *testing.T) {
 	// A tight adoption stride so the failing attempt has streamed several
 	// checkpoints by the time it dies.
 	cfg.CheckpointEvery = 500
-	f := New(cfg)
+	f := newCached(cfg)
 	var resumed *state.Checkpoint
 	f.shardPrep = func(child *FreePhish, shard, attempt int) {
 		if shard != 1 {
@@ -150,6 +151,21 @@ func TestShardAdoptionByteIdentical(t *testing.T) {
 	if got := liveJournal.Counts()[obs.EvShardCheckpoint]; got == 0 {
 		t.Fatalf("no %s ops events; checkpoint streaming never surfaced", obs.EvShardCheckpoint)
 	}
+	// A local cut is dated by its child's clock and an adopted one by its
+	// bytes; both must name the adopted checkpoint's instant.
+	want := resumed.SimNow.UTC().Format(time.RFC3339)
+	var lastAt, from string
+	for _, ev := range liveJournal.Tail(obs.DefaultJournalRing) {
+		switch {
+		case ev.Type == obs.EvShardCheckpoint && ev.Attrs["shard"] == "1" && ev.Attrs["attempt"] == "0":
+			lastAt = ev.Attrs["at"]
+		case ev.Type == obs.EvShardAdopt:
+			from = ev.Attrs["from"]
+		}
+	}
+	if lastAt != want || from != want {
+		t.Fatalf("shard 1's last cut is dated %q and its adoption %q; the adopted checkpoint was cut at %s", lastAt, from, want)
+	}
 
 	var rec, journal bytes.Buffer
 	if err := study.WriteJSONL(&rec); err != nil {
@@ -170,7 +186,7 @@ func TestShardAdoptionByteIdentical(t *testing.T) {
 func TestRemoteShardAdoptionByteIdentical(t *testing.T) {
 	baseRec, baseJournal, baseStats, _ := shardRun(t, 2, 1, BackendInproc, nil)
 
-	server := &shardrpc.Server{Runner: NewSpecRunner()}
+	server := &shardrpc.Server{Runner: newTestRunner()}
 	var killed int32
 	server.OnCheckpointFrame = func(shardIndex, frameCount int) error {
 		// Shard 1's first dispatch dies after its second checkpoint frame.
@@ -187,7 +203,7 @@ func TestRemoteShardAdoptionByteIdentical(t *testing.T) {
 	cfg.Shards = 2
 	cfg.CheckpointEvery = 500
 	cfg.ShardWorkers = []string{srv.URL}
-	f := New(cfg)
+	f := newCached(cfg)
 	var resumed *state.Checkpoint
 	f.shardPrep = func(child *FreePhish, shard, attempt int) {
 		if shard == 1 && attempt == 1 {
@@ -316,8 +332,8 @@ func TestSpecRunnerRejectsShardOutOfRange(t *testing.T) {
 
 // TestLocalRunnerReusesCoordinatorModels pins the in-process runner's
 // model source: a shard child rebuilt from its spec finds the
-// coordinator's own trained models under its cache key, so local shards
-// never retrain.
+// coordinator's own trained models under its training key, so local
+// shards never retrain.
 func TestLocalRunnerReusesCoordinatorModels(t *testing.T) {
 	cfg := streamSweepConfig(4, 0, BackendHTTP)
 	cfg.Shards = 2
@@ -325,12 +341,58 @@ func TestLocalRunnerReusesCoordinatorModels(t *testing.T) {
 	f := New(cfg)
 	f.Model, f.BaseModel, f.Lexical = &baselines.StackDetector{}, &baselines.StackDetector{}, &baselines.LexicalScorer{}
 	d := f.newDispatcher()
+	d.local.train = func(trainKey, int) (*trainedModels, error) {
+		t.Fatal("the local runner trained its own models instead of using the coordinator's")
+		return nil, nil
+	}
 	child := New(configFromSpec(f.shardSpec(1, d.stride)))
-	m, err := d.local.trainedFor(child.Config)
+	m, err := d.local.trained(child.trainKey(), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if m.model != f.Model || m.base != f.BaseModel || m.lexical != f.Lexical {
-		t.Fatal("the local runner trained its own models instead of using the coordinator's")
+		t.Fatal("the local runner returned other models than the coordinator's")
+	}
+}
+
+// TestSpecRunnerTrainsOncePerTrainingInput pins the runner's cache key:
+// studies that differ only in window, chaos, journal, cascade thresholds
+// or shard position share one training input, so a runner serving all
+// of them trains once.
+func TestSpecRunnerTrainsOncePerTrainingInput(t *testing.T) {
+	log := &infoLog{}
+	runner := newTestRunner()
+	runner.Logger = log
+	base := streamSweepConfig(1, 0, BackendInproc)
+	base.Duration = 2 * 24 * time.Hour
+	base.Cascade = &CascadeConfig{BenignBelow: 0.1, PhishAbove: 0.9}
+	prof := faults.DefaultProfile()
+	variants := []func(*Config){
+		func(*Config) {},
+		func(c *Config) { c.Duration = 3 * 24 * time.Hour },
+		func(c *Config) { c.Faults = &prof },
+		func(c *Config) { c.Journal = true },
+		func(c *Config) { c.Cascade = &CascadeConfig{BenignBelow: 0.2, PhishAbove: 0.8} },
+		func(c *Config) { c.Shards = 3 },
+	}
+	for i, vary := range variants {
+		cfg := base
+		vary(&cfg)
+		if cfg.Shards == 0 {
+			cfg.Shards = 2
+		}
+		spec := shard.Spec{ShardSpec: New(cfg).shardSpec(i%cfg.Shards, 1000)}
+		if _, err := runner.Run(context.Background(), spec, nil); err != nil {
+			t.Fatalf("variant %d: %v", i, err)
+		}
+	}
+	trainings := 0
+	for _, msg := range log.msgs {
+		if msg == "training models" {
+			trainings++
+		}
+	}
+	if trainings != 1 {
+		t.Fatalf("runner trained %d times for one training input, want once", trainings)
 	}
 }

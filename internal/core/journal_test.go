@@ -17,7 +17,7 @@ func journalSweepRun(t *testing.T, workers, depth int, backend string, prof *fau
 	cfg := streamSweepConfig(workers, depth, backend)
 	cfg.Journal = true
 	cfg.Faults = prof
-	f := New(cfg)
+	f := newCached(cfg)
 	if _, err := f.Run(); err != nil {
 		t.Fatalf("workers=%d depth=%d backend=%s faults=%v: %v", workers, depth, backend, prof != nil, err)
 	}
@@ -89,7 +89,7 @@ func TestJournalDeterminism(t *testing.T) {
 func TestJournalMatchesResultAPI(t *testing.T) {
 	cfg := streamSweepConfig(1, 1, BackendInproc)
 	cfg.Journal = true
-	f := New(cfg)
+	f := newCached(cfg)
 	if _, err := f.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -116,7 +116,7 @@ func TestJournalMatchesResultAPI(t *testing.T) {
 
 	// Tracing off → nil journal, and the fast path stays nil-safe.
 	cfg2 := streamSweepConfig(1, 1, BackendInproc)
-	f2 := New(cfg2)
+	f2 := newCached(cfg2)
 	if f2.Metrics.Journal != nil {
 		t.Fatal("journal allocated with Config.Journal=false")
 	}

@@ -181,9 +181,10 @@ func newMetrics(reg *obs.Registry, simNow func() time.Time, epoch time.Time) *Me
 	return m
 }
 
-// wire connects the constructed pipeline components (fetcher, poller,
-// classifier models) to the instruments. Called from startServers once
-// the components exist.
+// wireMetrics connects the constructed pipeline components (fetcher,
+// poller, retry policy, chaos injector, snapshot cache) to the
+// instruments. Called from startServers once the components exist; the
+// classify stage times extraction and inference itself.
 func (f *FreePhish) wireMetrics() {
 	m := f.Metrics
 	f.fetcher.Observe = func(status, attempts int, wall time.Duration, err error) {
@@ -244,22 +245,6 @@ func (f *FreePhish) wireMetrics() {
 					"kind", kind, "endpoint", endpoint, "key", key)
 			}
 		}
-	}
-	// Shards borrow their runner's cached models read-only; installing
-	// this shard's observer on them would race with its siblings (and
-	// misattribute timings), so only a framework that owns its models
-	// instruments them.
-	if !f.sharedModels {
-		stageObs := func(stage string, d time.Duration) {
-			switch stage {
-			case "extract":
-				m.ExtractSeconds.Observe(d.Seconds())
-			case "infer":
-				m.InferSeconds.Observe(d.Seconds())
-			}
-		}
-		f.Model.SetObserver(stageObs)
-		f.BaseModel.SetObserver(stageObs)
 	}
 	if f.snapCache != nil {
 		c := f.snapCache

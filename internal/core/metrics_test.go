@@ -29,7 +29,7 @@ func TestRunPopulatesMetrics(t *testing.T) {
 		lastFrac = ev.Frac
 	}
 
-	fp := New(cfg)
+	fp := New(cfg) // Run trains lazily, recording the train span
 	study, err := fp.Run()
 	if err != nil {
 		t.Fatal(err)
@@ -158,7 +158,7 @@ func normalizeExposition(exposition string) string {
 func TestMetricsExpositionSchemaGolden(t *testing.T) {
 	cfg := streamSweepConfig(1, 1, BackendInproc)
 	cfg.Journal = true // include the traced variant of the pipeline
-	f := New(cfg)
+	f := newCached(cfg)
 	if _, err := f.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -205,7 +205,7 @@ func TestPollQuotaMetrics(t *testing.T) {
 	cfg.PollQuota = 1
 	cfg.PollQuotaRate = 1.0 / (20 * 60) // one token per 20 sim-minutes
 
-	fp := New(cfg)
+	fp := newCached(cfg)
 	if _, err := fp.Run(); err != nil {
 		t.Fatal(err)
 	}

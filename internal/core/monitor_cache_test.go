@@ -15,7 +15,7 @@ func TestMonitorReprobesHitSnapshotCache(t *testing.T) {
 	cfg.Scale = 0.003
 	cfg.TrainPerClass = 80
 	cfg.MonitorInterval = 12 * time.Hour
-	f := New(cfg)
+	f := newCached(cfg)
 	if _, err := f.Run(); err != nil {
 		t.Fatal(err)
 	}

@@ -17,7 +17,7 @@ func TestStudyDeterminismParallel(t *testing.T) {
 		cfg.Scale = 0.003
 		cfg.TrainPerClass = 80
 		cfg.Workers = workers
-		f := New(cfg)
+		f := newCached(cfg)
 		study, err := f.Run()
 		if err != nil {
 			t.Fatal(err)

@@ -36,26 +36,11 @@ func resumeSweepConfig(workers int, backend string) Config {
 	return cfg
 }
 
-// donateModels lets a resumed run skip training by borrowing the donor's
-// trained models (read-only, like shard children do) — training is
-// deterministic per seed, so the borrowed models are the ones the run
-// would have trained.
-func donateModels(f, donor *FreePhish) {
-	f.Model = donor.Model
-	f.BaseModel = donor.BaseModel
-	f.Lexical = donor.Lexical
-	f.cascade = donor.cascade
-	f.sharedModels = true
-}
-
 // runResumeStudy executes one study and returns its records JSONL,
 // canonical journal JSONL, stats, and the framework.
-func runResumeStudy(t *testing.T, label string, cfg Config, donor *FreePhish, sink func([]byte) error) (rec, journal []byte, stats Stats, f *FreePhish) {
+func runResumeStudy(t *testing.T, label string, cfg Config, sink func([]byte) error) (rec, journal []byte, stats Stats, f *FreePhish) {
 	t.Helper()
-	f = New(cfg)
-	if donor != nil {
-		donateModels(f, donor)
-	}
+	f = newCached(cfg)
 	f.checkpointSink = sink
 	study, err := f.Run()
 	if err != nil {
@@ -72,9 +57,9 @@ func runResumeStudy(t *testing.T, label string, cfg Config, donor *FreePhish, si
 }
 
 func TestResumeByteIdentical(t *testing.T) {
-	baseRec, baseJournal, baseStats, donor := runResumeStudy(t,
-		"baseline", resumeSweepConfig(1, BackendInproc), nil, nil)
-	if len(donor.State.Records()) == 0 {
+	baseRec, baseJournal, baseStats, base := runResumeStudy(t,
+		"baseline", resumeSweepConfig(1, BackendInproc), nil)
+	if len(base.State.Records()) == 0 {
 		t.Fatal("baseline produced no records; the sweep is vacuous")
 	}
 
@@ -95,7 +80,7 @@ func TestResumeByteIdentical(t *testing.T) {
 		cfg := resumeSweepConfig(c.workers, c.backend)
 		cfg.CheckpointEvery = 1
 		var cuts [][]byte
-		rec, journal, stats, _ := runResumeStudy(t, label+" checkpointed", cfg, donor,
+		rec, journal, stats, _ := runResumeStudy(t, label+" checkpointed", cfg,
 			func(data []byte) error {
 				cuts = append(cuts, append([]byte(nil), data...))
 				return nil
@@ -140,7 +125,7 @@ func TestResumeByteIdentical(t *testing.T) {
 			rcfg := resumeSweepConfig(c.workers, c.backend)
 			rcfg.Resume = chk
 			rlabel := fmt.Sprintf("%s resume@%d (%s)", label, i, chk.SimNow.Format("2006-01-02T15:04"))
-			rrec, rjournal, rstats, _ := runResumeStudy(t, rlabel, rcfg, donor, nil)
+			rrec, rjournal, rstats, _ := runResumeStudy(t, rlabel, rcfg, nil)
 			diffCascadeRun(t, rlabel, baseRec, rrec, baseJournal, rjournal, baseStats, rstats)
 		}
 	}
@@ -154,7 +139,7 @@ func TestResumeByteIdentical(t *testing.T) {
 	}
 	rcfg := resumeSweepConfig(8, BackendHTTP)
 	rcfg.Resume = chk
-	rrec, rjournal, rstats, _ := runResumeStudy(t, "cross-backend resume", rcfg, donor, nil)
+	rrec, rjournal, rstats, _ := runResumeStudy(t, "cross-backend resume", rcfg, nil)
 	diffCascadeRun(t, "inproc/1 cut resumed on http/8", baseRec, rrec, baseJournal, rjournal, baseStats, rstats)
 }
 
@@ -188,16 +173,12 @@ func referenceCheckpoint(t *testing.T, chk *state.Checkpoint) []byte {
 // bytes are kept as handed over, uncopied, and re-checked at the end of
 // the run: a later cut must never write into an earlier one.
 func TestCheckpointCutsMatchReference(t *testing.T) {
-	var donor *FreePhish
 	for _, backend := range []string{BackendInproc, BackendHTTP} {
 		run := func(label string, resume *state.Checkpoint) (cuts [][]byte) {
 			cfg := resumeSweepConfig(1, backend)
 			cfg.CheckpointEvery = 1
 			cfg.Resume = resume
-			f := New(cfg)
-			if donor != nil {
-				donateModels(f, donor)
-			}
+			f := newCached(cfg)
 			var want [][]byte
 			f.checkpointSink = func(data []byte) error {
 				ref := referenceCheckpoint(t, f.buildCheckpoint())
@@ -210,9 +191,6 @@ func TestCheckpointCutsMatchReference(t *testing.T) {
 			}
 			if _, err := f.Run(); err != nil {
 				t.Fatalf("%s %s: %v", backend, label, err)
-			}
-			if donor == nil {
-				donor = f
 			}
 			for i := range cuts {
 				if !bytes.Equal(cuts[i], want[i]) {
@@ -249,13 +227,13 @@ func TestResumeFromCheckpointFile(t *testing.T) {
 		cfg.Duration = 8 * 24 * time.Hour
 		return cfg
 	}
-	baseRec, baseJournal, baseStats, donor := runResumeStudy(t, "baseline", short(1), nil, nil)
+	baseRec, baseJournal, baseStats, _ := runResumeStudy(t, "baseline", short(1), nil)
 
 	path := filepath.Join(t.TempDir(), "study.ckpt")
 	cfg := short(1)
 	cfg.CheckpointPath = path
 	cfg.CheckpointEvery = 2
-	rec, journal, stats, _ := runResumeStudy(t, "checkpointed-to-file", cfg, donor, nil)
+	rec, journal, stats, _ := runResumeStudy(t, "checkpointed-to-file", cfg, nil)
 	diffCascadeRun(t, "checkpointed-to-file", baseRec, rec, baseJournal, journal, baseStats, stats)
 
 	chk, err := state.ReadCheckpoint(path)
@@ -264,7 +242,7 @@ func TestResumeFromCheckpointFile(t *testing.T) {
 	}
 	rcfg := short(1)
 	rcfg.Resume = chk
-	rrec, rjournal, rstats, rf := runResumeStudy(t, "resume-from-file", rcfg, donor, nil)
+	rrec, rjournal, rstats, rf := runResumeStudy(t, "resume-from-file", rcfg, nil)
 	diffCascadeRun(t, "resume-from-file", baseRec, rrec, baseJournal, rjournal, baseStats, rstats)
 	if err := rf.Verify(); err != nil {
 		t.Fatalf("resumed run failed world verification: %v", err)
@@ -279,7 +257,7 @@ func TestResumeRejectsFingerprintMismatch(t *testing.T) {
 	cfg.Duration = 4 * 24 * time.Hour
 	cfg.CheckpointEvery = 1
 	var cuts [][]byte
-	_, _, _, donor := runResumeStudy(t, "donor", cfg, nil, func(data []byte) error {
+	runResumeStudy(t, "source", cfg, func(data []byte) error {
 		cuts = append(cuts, append([]byte(nil), data...))
 		return nil
 	})
@@ -295,10 +273,12 @@ func TestResumeRejectsFingerprintMismatch(t *testing.T) {
 	bad.CheckpointEvery = 0
 	bad.Resume = chk
 	f := New(bad)
-	donateModels(f, donor)
 	_, err = f.Run()
 	if err == nil || !strings.Contains(err.Error(), "different study configuration") {
 		t.Fatalf("mismatched resume = %v, want a fingerprint error", err)
+	}
+	if f.Model != nil {
+		t.Fatal("the mismatched resume trained models before refusing the checkpoint")
 	}
 
 	// A checkpoint cut before fingerprints came from the spec (v1) is
@@ -308,9 +288,7 @@ func TestResumeRejectsFingerprintMismatch(t *testing.T) {
 	old := cfg
 	old.CheckpointEvery = 0
 	old.Resume = &v1
-	f = New(old)
-	donateModels(f, donor)
-	_, err = f.Run()
+	_, err = New(old).Run()
 	if err == nil || !strings.Contains(err.Error(), `version "v1"`) {
 		t.Fatalf("v1 resume = %v, want an error naming the fingerprint version", err)
 	}

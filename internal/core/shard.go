@@ -1,16 +1,15 @@
 package core
 
 import (
-	"time"
-
 	"freephish/internal/analysis"
 	"freephish/internal/obs"
-	"freephish/internal/par"
+	"freephish/internal/pipe"
 	"freephish/internal/state"
 )
 
 // Sharded execution. With Config.Shards = N > 1, the coordinator trains
-// the models once, then fans the study out over N child frameworks. Each
+// the models once (Run does, before it branches here), then fans the
+// study out over N child frameworks that share them read-only. Each
 // child is a complete FreePhish — its own clock, simulated world,
 // loopback servers (on the http backend), pipe graphs, retry policy, and
 // chaos injector — that runs the full poll schedule over one residue
@@ -32,24 +31,15 @@ const shardAttempts = 3
 // runSharded is Run's coordinator path (Config.Shards > 1). Execution
 // goes through the shard-dispatch boundary: the dispatcher picks a runner
 // (in-process, or a Config.ShardWorkers endpoint) per attempt and owns
-// failover by checkpoint adoption; this function owns training, fan-out,
-// and the merge.
+// failover by checkpoint adoption; this function owns the fan-out and the
+// merge.
 func (f *FreePhish) runSharded() (*analysis.Study, error) {
-	f.runStart = time.Now()
-	if f.Model == nil || f.BaseModel == nil {
-		sp := f.Metrics.Tracer.Start("train")
-		err := f.Train()
-		sp.EndErr(err)
-		if err != nil {
-			return nil, err
-		}
-	}
 	n := f.Config.Shards
 	d := f.newDispatcher()
 	// Every runner closes its child and audits its world before it
 	// snapshots, so a failed shard leaves nothing open here and Verify
 	// needs only the merged records.
-	snaps, err := par.MapOrdered(n, make([]struct{}, n),
+	snaps, err := pipe.MapOrdered(n, make([]struct{}, n),
 		func(i int, _ struct{}) (*state.Snapshot, error) { return d.runShard(i) })
 	if err != nil {
 		return nil, err

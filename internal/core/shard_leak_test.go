@@ -39,7 +39,7 @@ func TestShardRetryDoesNotLeak(t *testing.T) {
 	cleanCfg := streamSweepConfig(1, 0, BackendHTTP)
 	cleanCfg.Journal = true
 	cleanCfg.Shards = 2
-	clean := New(cleanCfg)
+	clean := newCached(cleanCfg)
 	cleanStudy, err := clean.Run()
 	if err != nil {
 		t.Fatal(err)
@@ -57,7 +57,7 @@ func TestShardRetryDoesNotLeak(t *testing.T) {
 	cfg := streamSweepConfig(1, 0, BackendHTTP)
 	cfg.Journal = true
 	cfg.Shards = 2
-	f := New(cfg)
+	f := newCached(cfg)
 	var open int64
 	f.listen = func(network, addr string) (net.Listener, error) {
 		ln, err := net.Listen(network, addr)
@@ -139,7 +139,7 @@ func TestShardRetryDoesNotLeak(t *testing.T) {
 func TestShardCoordinatorFailureClosesSiblings(t *testing.T) {
 	cfg := streamSweepConfig(1, 0, BackendHTTP)
 	cfg.Shards = 2
-	f := New(cfg)
+	f := newCached(cfg)
 	var open int64
 	f.listen = func(network, addr string) (net.Listener, error) {
 		ln, err := net.Listen(network, addr)

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"reflect"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -30,7 +31,7 @@ func shardConfig(shards, workers int, backend string, prof *faults.Profile, endp
 // (for observation comparison).
 func shardRun(t *testing.T, shards, workers int, backend string, prof *faults.Profile, endpoints ...string) (records, journal []byte, stats Stats, f *FreePhish) {
 	t.Helper()
-	f = New(shardConfig(shards, workers, backend, prof, endpoints...))
+	f = newCached(shardConfig(shards, workers, backend, prof, endpoints...))
 	label := fmt.Sprintf("shards=%d workers=%d backend=%s endpoints=%v", shards, workers, backend, endpoints)
 	records, journal, stats = runTraced(t, label, f)
 	return records, journal, stats, f
@@ -75,7 +76,7 @@ func TestShardDeterminism(t *testing.T) {
 
 	for _, shards := range []int{2, 4, 8} {
 		label := fmt.Sprintf("inproc shards=%d", shards)
-		f := New(shardConfig(shards, 1, BackendInproc, nil))
+		f := newCached(shardConfig(shards, 1, BackendInproc, nil))
 		children := make([]*FreePhish, shards)
 		f.shardPrep = func(child *FreePhish, shard, _ int) { children[shard] = child }
 		rec, journal, stats := runTraced(t, label, f)
@@ -110,6 +111,32 @@ func TestShardDeterminism(t *testing.T) {
 	diffCascadeRun(t, "inproc shards=4 workers=4 chaos=default", baseRec, rec, baseJournal, journal, baseStats, stats)
 }
 
+// TestShardChildrenObserveClassifyStages pins the classify stage's own
+// timing: every in-process shard child fills its extract and infer
+// histograms, although it shares its models with its siblings.
+func TestShardChildrenObserveClassifyStages(t *testing.T) {
+	f := newCached(shardConfig(2, 2, BackendInproc, nil))
+	var mu sync.Mutex
+	children := map[int]*FreePhish{}
+	f.shardPrep = func(child *FreePhish, shard, attempt int) {
+		mu.Lock()
+		defer mu.Unlock()
+		children[shard] = child
+	}
+	if _, err := f.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if len(children) != 2 {
+		t.Fatalf("%d shard children ran in-process, want 2", len(children))
+	}
+	for i, c := range children {
+		extract, infer := c.Metrics.ExtractSeconds.Count(), c.Metrics.InferSeconds.Count()
+		if extract == 0 || infer != extract {
+			t.Errorf("shard %d: %d extract and %d infer observations, want equal and > 0", i, extract, infer)
+		}
+	}
+}
+
 // TestShardRetryReplaysExactly exercises the coordinator-level retry: a
 // shard whose first attempts die is re-run from a fresh child, and
 // because its sub-stream is a pure function of (seed, shard index) the
@@ -120,7 +147,7 @@ func TestShardRetryReplaysExactly(t *testing.T) {
 	cfg := streamSweepConfig(1, 0, BackendInproc)
 	cfg.Journal = true
 	cfg.Shards = 2
-	f := New(cfg)
+	f := newCached(cfg)
 	failures := 0
 	f.shardHook = func(shard, attempt int) error {
 		// Shard 1 dies on every attempt but its last.
@@ -153,7 +180,7 @@ func TestShardRetryReplaysExactly(t *testing.T) {
 func TestShardRetryExhaustionFails(t *testing.T) {
 	cfg := streamSweepConfig(1, 0, BackendInproc)
 	cfg.Shards = 2
-	f := New(cfg)
+	f := newCached(cfg)
 	injected := errors.New("injected permanent failure")
 	f.shardHook = func(shard, attempt int) error {
 		if shard == 1 {
@@ -198,7 +225,7 @@ func (s backdatedStream) Poll(now time.Time) ([]crawler.StreamedURL, error) {
 func TestShardAuditFailureFailsAttempt(t *testing.T) {
 	cfg := streamSweepConfig(1, 0, BackendInproc)
 	cfg.Shards = 2
-	f := New(cfg)
+	f := newCached(cfg)
 	f.shardPrep = func(child *FreePhish, shard, _ int) {
 		if shard == 1 {
 			child.streamWrap = func(s world.URLStream) world.URLStream {

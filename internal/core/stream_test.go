@@ -42,7 +42,7 @@ func TestRunEndsImmediatelyOnPollError(t *testing.T) {
 	cfg.TrainPerClass = 60
 	const failAt = 5
 	fs := &failingStream{failAt: failAt, err: errors.New("injected poll failure")}
-	f := New(cfg)
+	f := newCached(cfg)
 	f.streamWrap = func(s world.URLStream) world.URLStream {
 		fs.inner = s
 		return fs
@@ -89,7 +89,7 @@ func streamSweepConfig(workers, depth int, backend string) Config {
 func TestStudyDeterminismAcrossQueueDepths(t *testing.T) {
 	run := func(workers, depth int, backend string) ([]byte, Stats) {
 		t.Helper()
-		f := New(streamSweepConfig(workers, depth, backend))
+		f := newCached(streamSweepConfig(workers, depth, backend))
 		study, err := f.Run()
 		if err != nil {
 			t.Fatalf("workers=%d depth=%d backend=%s: %v", workers, depth, backend, err)
@@ -166,7 +166,7 @@ func TestEmptyCycleBuildsNoPipe(t *testing.T) {
 	cfg.Duration = 24 * time.Hour
 	cfg.Registry = obs.NewRegistry()
 	ss := &silentStream{}
-	f := New(cfg)
+	f := newCached(cfg)
 	f.streamWrap = func(s world.URLStream) world.URLStream {
 		ss.inner = s
 		return ss

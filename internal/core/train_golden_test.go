@@ -11,9 +11,10 @@ import (
 )
 
 // goldenTrained are the SHA-256 prefixes of the saved FreePhish and base
-// models that Train fits on the benchmark's corpus shape (93 pages per
-// class at scale 0.02), per seed. A change to fitting or to the corpus
-// that claims byte-identity must leave them as they are.
+// models that Train fits (through the test cache, which calls
+// trainModels) on the benchmark's corpus shape (93 pages per class at scale
+// 0.02), per seed. A change to fitting or to the corpus that claims
+// byte-identity must leave them as they are.
 var goldenTrained = map[string]string{
 	"freephish/1": "f2f08fffd1ac840c",
 	"base/1":      "93cf31ae1e06a9d6",
@@ -25,7 +26,7 @@ func TestTrainedModelsGolden(t *testing.T) {
 	for _, seed := range []int64{1, 7} {
 		cfg := smallConfig(seed)
 		cfg.TrainPerClass = 4675 // int(4675 × 0.02) = 93 per class
-		f := New(cfg)
+		f := newCached(cfg)
 		if err := f.Train(); err != nil {
 			t.Fatal(err)
 		}

@@ -7,7 +7,7 @@ import (
 	"sync"
 	"testing"
 
-	"freephish/internal/par"
+	"freephish/internal/pipe"
 )
 
 // Regression: Snapshot used to build a fresh htmlx parse per probe even
@@ -122,7 +122,7 @@ func TestSnapshotCacheEvictsLRU(t *testing.T) {
 
 func TestSnapshotCacheConcurrentAccess(t *testing.T) {
 	c := NewSnapshotCache(64)
-	par.Do(8, 200, func(i int) {
+	pipe.Do(8, 200, func(i int) {
 		url := fmt.Sprintf("https://site-%d.weebly.com/", i%16)
 		c.Page(url, "<html><body>page "+url+"</body></html>")
 	})

@@ -4,7 +4,7 @@ import (
 	"errors"
 	"math"
 
-	"freephish/internal/par"
+	"freephish/internal/pipe"
 	"freephish/internal/simclock"
 )
 
@@ -126,7 +126,7 @@ func (gb *GradientBooster) fit(d *Dataset) error {
 	for i := range idx {
 		idx[i] = i
 	}
-	workers := par.N(gb.Config.Parallelism)
+	workers := pipe.Workers(gb.Config.Parallelism)
 	ctx := newBuildCtx(d.X, grad, hess, treeParams{
 		maxDepth:       gb.Config.MaxDepth,
 		maxLeaves:      gb.Config.MaxLeaves,
@@ -152,7 +152,7 @@ func (gb *GradientBooster) fit(d *Dataset) error {
 		// Per-sample routing through the new tree is independent work with
 		// disjoint writes, so the update fans out when n justifies it.
 		if workers > 1 && n >= parallelSplitMinRows {
-			par.Do(workers, n, func(i int) {
+			pipe.Do(workers, n, func(i int) {
 				raw[i] += gb.Config.LearningRate * t.predict(d.X[i])
 			})
 		} else {

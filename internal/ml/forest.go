@@ -6,7 +6,7 @@ import (
 	"sort"
 	"strconv"
 
-	"freephish/internal/par"
+	"freephish/internal/pipe"
 	"freephish/internal/simclock"
 )
 
@@ -92,7 +92,7 @@ func (rf *RandomForest) Fit(d *Dataset) error {
 		}
 	}
 	trees := make([]*giniTree, rf.Config.Trees)
-	par.Do(rf.Config.Parallelism, rf.Config.Trees, func(i int) {
+	pipe.Do(rf.Config.Parallelism, rf.Config.Trees, func(i int) {
 		// Each tree owns a stream derived from (seed, tree ordinal): its
 		// bootstrap and per-split feature draws are independent of how the
 		// pool schedules the trees.

@@ -3,7 +3,7 @@ package ml
 import (
 	"errors"
 
-	"freephish/internal/par"
+	"freephish/internal/pipe"
 	"freephish/internal/simclock"
 )
 
@@ -74,7 +74,7 @@ func (s *StackModel) Fit(d *Dataset) error {
 	s.nFeat = len(d.Names)
 	rng := simclock.NewRNG(s.Seed, "ml.stack")
 	nBase := len(newBaseModels())
-	workers := par.N(s.Parallelism)
+	workers := pipe.Workers(s.Parallelism)
 	inner := innerParallelism(workers)
 
 	// Out-of-fold base predictions. The folds are drawn before any model
@@ -98,7 +98,7 @@ func (s *StackModel) Fit(d *Dataset) error {
 			jobs = append(jobs, job{fi, m})
 		}
 	}
-	if _, err := par.MapOrdered(workers, jobs, func(_ int, j job) (struct{}, error) {
+	if _, err := pipe.MapOrdered(workers, jobs, func(_ int, j job) (struct{}, error) {
 		gb := newBaseModel(j.model)
 		gb.Config.Parallelism = inner
 		if err := gb.Fit(trainSets[j.fold]); err != nil {
@@ -129,7 +129,7 @@ func (s *StackModel) Fit(d *Dataset) error {
 
 	// Refit base models on the full training set for inference time.
 	s.base = newBaseModels()
-	if _, err := par.MapOrdered(workers, s.base, func(_ int, gb *GradientBooster) (struct{}, error) {
+	if _, err := pipe.MapOrdered(workers, s.base, func(_ int, gb *GradientBooster) (struct{}, error) {
 		gb.Config.Parallelism = inner
 		return struct{}{}, gb.Fit(d)
 	}); err != nil {

@@ -6,7 +6,7 @@ import (
 	"math"
 	"sort"
 
-	"freephish/internal/par"
+	"freephish/internal/pipe"
 )
 
 // treeParams controls regression-tree growth for the boosting variants.
@@ -231,7 +231,7 @@ func (c *buildCtx) findSplit(idx []int, key string) split {
 		}
 	}
 	if c.p.workers > 1 && len(idx) >= parallelSplitMinRows {
-		par.Do(c.p.workers, nFeat, search)
+		pipe.Do(c.p.workers, nFeat, search)
 	} else {
 		for f := 0; f < nFeat; f++ {
 			search(f)

@@ -4,12 +4,11 @@
 // emitted downstream in input order the moment the head-of-line item
 // completes. Item i+k can still be in flight while a downstream consumer
 // is already applying item i — the property that turns the per-cycle batch
-// barrier of the old par.MapOrdered-then-apply loop into a stream whose
-// memory is bounded by (workers + queue depth), never by input size.
+// barrier of a map-then-apply loop into a stream whose memory is bounded
+// by (workers + queue depth), never by input size. MapOrdered and Do (see
+// map.go) are the slice-shaped single-stage case the trainers use.
 //
-// The engine carries the repository's established concurrency contracts,
-// inherited from internal/par (which is now the single-stage degenerate
-// case of this package):
+// The engine carries the repository's concurrency contracts:
 //
 //   - Determinism: the output order is the input order at every (workers,
 //     queue-depth) setting. Parallelism trades wall-clock for cores and
@@ -18,7 +17,7 @@
 //     the equivalent sequential loop would have hit first. In the default
 //     fail-fast mode the pipeline cancels as soon as the ordered drain
 //     point reaches a failed item; with Options.ContinueOnError every item
-//     is still attempted (the par.MapOrdered contract) and the lowest-index
+//     is still attempted (the MapOrdered contract) and the lowest-index
 //     error is reported after the fact.
 //   - Panic propagation: a panicking worker cancels the pipeline, all
 //     goroutines drain (no leaks), and the lowest-index panic is re-raised
@@ -58,7 +57,8 @@ func DepthOrDefault(n int) int {
 }
 
 // Workers resolves a worker-count knob: n itself when positive, otherwise
-// runtime.GOMAXPROCS(0). internal/par's N delegates here.
+// runtime.GOMAXPROCS(0). Every Workers/Parallelism option in the
+// repository routes through this, so "0 = use all cores" is uniform.
 func Workers(n int) int {
 	if n > 0 {
 		return n
@@ -68,7 +68,6 @@ func Workers(n int) int {
 
 // PanicError wraps a value recovered from a stage-worker panic so it can
 // be re-raised on the draining goroutine with the worker's stack attached.
-// internal/par's PanicError is an alias of this type.
 type PanicError struct {
 	Value any
 	Stack []byte
@@ -85,7 +84,7 @@ type Options struct {
 	// Registry, when non-nil, auto-registers per-stage freephish_pipe_*
 	// instruments (queue depth, occupancy, latency, items, errors).
 	Registry *obs.Registry
-	// ContinueOnError selects the par.MapOrdered error contract: every
+	// ContinueOnError selects the MapOrdered error contract: every
 	// item is attempted even when some fail, failed items keep flowing
 	// (carrying their error and whatever value the stage returned), and
 	// Drain reports the lowest-index error at the end. The default is
@@ -252,7 +251,7 @@ func Source[T any](p *Pipeline, depth int, items []T) *Flow[T] {
 }
 
 // Range feeds the integers [0, n) into the pipeline — the index-space
-// source par.Do is built on.
+// source Do is built on.
 func Range(p *Pipeline, depth, n int) *Flow[int] {
 	f := newFlow[int](p, "source", depth)
 	p.goRun(func() {
@@ -467,7 +466,7 @@ loop:
 			if firstErr == nil {
 				firstErr = it.err
 			}
-			// The par.MapOrdered contract: the collector still sees the
+			// The MapOrdered contract: the collector still sees the
 			// value the stage returned alongside the error. An fn error
 			// here is subordinate — the item's stage error came first.
 			_ = fn(it.seq, it.val)

@@ -58,11 +58,66 @@ const checkpointVersion = 1
 // over the worker RPC; Kind distinguishes the two so neither decoder can be
 // fed the other's payload (empty Kind means "checkpoint", for files written
 // before the tag existed).
-type checkpointFile struct {
-	Version int             `json:"version"`
-	Kind    string          `json:"kind,omitempty"`
-	SHA256  string          `json:"sha256"`
-	Payload json.RawMessage `json:"payload"`
+type checkpointFile = envelopeOf[json.RawMessage]
+
+// envelopeOf is the envelope with its payload decoded as P.
+type envelopeOf[P any] struct {
+	Version int    `json:"version"`
+	Kind    string `json:"kind,omitempty"`
+	SHA256  string `json:"sha256"`
+	Payload P      `json:"payload"`
+}
+
+// envelopeForm is one kind of envelope: its tag and version, and the
+// words its errors use.
+type envelopeForm struct {
+	kind    string
+	version int
+	// name is the subject of the version and hash errors; notEnvelope is
+	// the error for bytes that are no envelope at all; kindErr prefixes
+	// the error for an envelope of another kind.
+	name, notEnvelope, kindErr string
+}
+
+var (
+	checkpointEnvelope = envelopeForm{
+		kind: kindCheckpoint, version: checkpointVersion, name: "checkpoint",
+		notEnvelope: "checkpoint is not a valid checkpoint file", kindErr: "envelope",
+	}
+	snapshotEnvelope = envelopeForm{
+		kind: kindSnapshot, version: snapshotWireVersion, name: "snapshot wire",
+		notEnvelope: "snapshot wire data is not a valid envelope", kindErr: "snapshot wire envelope",
+	}
+)
+
+// check rejects an envelope head of another kind or version. A
+// checkpoint's empty kind reads as "checkpoint" (files written before
+// the tag existed).
+func (e envelopeForm) check(kind string, version int) error {
+	if kind != e.kind && !(kind == "" && e.kind == kindCheckpoint) {
+		return fmt.Errorf("state: %s has kind %q, want %q", e.kindErr, kind, e.kind)
+	}
+	if version != e.version {
+		return fmt.Errorf("state: %s format version %d, want %d", e.name, version, e.version)
+	}
+	return nil
+}
+
+// open parses data as an envelope of this form, verifies the payload's
+// hash, and returns the payload.
+func (e envelopeForm) open(data []byte) (json.RawMessage, error) {
+	var f checkpointFile
+	if err := json.Unmarshal(data, &f); err != nil {
+		return nil, fmt.Errorf("state: %s (truncated or not JSON): %w", e.notEnvelope, err)
+	}
+	if err := e.check(f.Kind, f.Version); err != nil {
+		return nil, err
+	}
+	sum := sha256.Sum256(f.Payload)
+	if got := hex.EncodeToString(sum[:]); got != f.SHA256 {
+		return nil, fmt.Errorf("state: %s payload corrupted: sha256 %s, recorded %s", e.name, got, f.SHA256)
+	}
+	return f.Payload, nil
 }
 
 // EncodeCheckpoint serializes a checkpoint into its self-verifying file
@@ -81,22 +136,12 @@ func EncodeCheckpoint(c *Checkpoint) ([]byte, error) {
 // truncated or corrupted data (payload hash mismatch) and unknown format
 // versions with errors that say so.
 func DecodeCheckpoint(data []byte) (*Checkpoint, error) {
-	var f checkpointFile
-	if err := json.Unmarshal(data, &f); err != nil {
-		return nil, fmt.Errorf("state: checkpoint is not a valid checkpoint file (truncated or not JSON): %w", err)
-	}
-	if f.Kind != "" && f.Kind != kindCheckpoint {
-		return nil, fmt.Errorf("state: envelope has kind %q, want %q", f.Kind, kindCheckpoint)
-	}
-	if f.Version != checkpointVersion {
-		return nil, fmt.Errorf("state: checkpoint format version %d, want %d", f.Version, checkpointVersion)
-	}
-	sum := sha256.Sum256(f.Payload)
-	if got := hex.EncodeToString(sum[:]); got != f.SHA256 {
-		return nil, fmt.Errorf("state: checkpoint payload corrupted: sha256 %s, recorded %s", got, f.SHA256)
+	payload, err := checkpointEnvelope.open(data)
+	if err != nil {
+		return nil, err
 	}
 	var c Checkpoint
-	if err := json.Unmarshal(f.Payload, &c); err != nil {
+	if err := json.Unmarshal(payload, &c); err != nil {
 		return nil, fmt.Errorf("state: decode checkpoint payload: %w", err)
 	}
 	if c.Snapshot == nil {

@@ -1,12 +1,8 @@
 package state
 
 import (
-	"crypto/sha256"
-	"encoding/hex"
 	"encoding/json"
 	"fmt"
-	"io"
-	"strings"
 	"time"
 
 	"freephish/internal/faults"
@@ -111,186 +107,52 @@ func EncodeSnapshotWire(s *Snapshot) ([]byte, error) {
 // envelopes of a different kind (a checkpoint is not a snapshot) with
 // errors that say so.
 func DecodeSnapshotWire(data []byte) (*Snapshot, error) {
-	var f checkpointFile
-	if err := json.Unmarshal(data, &f); err != nil {
-		return nil, fmt.Errorf("state: snapshot wire data is not a valid envelope (truncated or not JSON): %w", err)
-	}
-	if f.Kind != kindSnapshot {
-		return nil, fmt.Errorf("state: snapshot wire envelope has kind %q, want %q", f.Kind, kindSnapshot)
-	}
-	if f.Version != snapshotWireVersion {
-		return nil, fmt.Errorf("state: snapshot wire format version %d, want %d", f.Version, snapshotWireVersion)
-	}
-	sum := sha256.Sum256(f.Payload)
-	if got := hex.EncodeToString(sum[:]); got != f.SHA256 {
-		return nil, fmt.Errorf("state: snapshot wire payload corrupted: sha256 %s, recorded %s", got, f.SHA256)
+	payload, err := snapshotEnvelope.open(data)
+	if err != nil {
+		return nil, err
 	}
 	var s Snapshot
-	if err := json.Unmarshal(f.Payload, &s); err != nil {
+	if err := json.Unmarshal(payload, &s); err != nil {
 		return nil, fmt.Errorf("state: decode snapshot wire payload: %w", err)
 	}
 	return &s, nil
 }
 
 // PeekCheckpointInstant reads the sim instant out of an encoded checkpoint
-// without decoding or verifying the payload. The coordinator calls it per
-// streamed checkpoint to timestamp ops events and the /dash shard panel;
-// the full DecodeCheckpoint still runs (and verifies) before any adoption.
-// It walks the members of the envelope and of the payload's top-level
-// object, finding where each value ends by its brackets and quotes alone,
-// and decodes only version, kind and sim_now. Keys match as
-// DecodeCheckpoint matches them, a later duplicate winning, so wherever
-// DecodeCheckpoint accepts the bytes the peek returns the same instant.
-// Like DecodeCheckpoint it rejects an envelope of another kind or version
-// and a payload that is not an object.
+// without verifying the payload or decoding more of it than sim_now. The
+// coordinator calls it per streamed checkpoint to timestamp ops events
+// and the /dash shard panel; the full DecodeCheckpoint still runs (and
+// verifies) before any adoption. It decodes with encoding/json and checks
+// the head as DecodeCheckpoint does, so wherever DecodeCheckpoint accepts
+// the bytes the peek returns the same instant.
 func PeekCheckpointInstant(data []byte) (time.Time, error) {
-	var (
-		version    int
-		kind       string
-		at         time.Time
-		hasPayload bool
-	)
-	err := eachMember(data, func(key string, val []byte) error {
-		switch {
-		case strings.EqualFold(key, "version"):
-			return json.Unmarshal(val, &version)
-		case strings.EqualFold(key, "kind"):
-			return json.Unmarshal(val, &kind)
-		case strings.EqualFold(key, "payload"):
-			at, hasPayload = time.Time{}, true
-			return eachMember(val, func(key string, val []byte) error {
-				if strings.EqualFold(key, "sim_now") {
-					return json.Unmarshal(val, &at)
-				}
-				return nil
-			})
-		}
-		return nil
-	})
-	switch {
-	case err != nil:
-	case kind != "" && kind != kindCheckpoint:
-		err = fmt.Errorf("envelope has kind %q, want %q", kind, kindCheckpoint)
-	case version != checkpointVersion:
-		err = fmt.Errorf("format version %d, want %d", version, checkpointVersion)
-	case !hasPayload:
-		err = fmt.Errorf("envelope has no payload")
-	}
-	if err != nil {
+	var f envelopeOf[*peekPayload]
+	if err := json.Unmarshal(data, &f); err != nil {
 		return time.Time{}, fmt.Errorf("state: peek checkpoint: %w", err)
 	}
-	return at, nil
+	if err := checkpointEnvelope.check(f.Kind, f.Version); err != nil {
+		return time.Time{}, err
+	}
+	if f.Payload == nil {
+		return time.Time{}, fmt.Errorf("state: peek checkpoint: envelope has no payload")
+	}
+	return f.Payload.SimNow, nil
 }
 
-// eachMember calls f with each key and raw value of the JSON object that
-// data holds, in order. It checks the object's own punctuation but not
-// the values it hands on, whose ends it finds with valueEnd; json.Unmarshal
-// of data would reject any that are malformed.
-func eachMember(data []byte, f func(key string, val []byte) error) error {
-	i := skipSpace(data, 0)
-	if i == len(data) || data[i] != '{' {
-		return fmt.Errorf("want an object")
-	}
-	i = skipSpace(data, i+1)
-	if i < len(data) && data[i] == '}' {
-		return nil
-	}
-	for {
-		if i == len(data) || data[i] != '"' {
-			return fmt.Errorf("want an object key at byte %d", i)
-		}
-		end, err := valueEnd(data, i)
-		if err != nil {
-			return err
-		}
-		var key string
-		if err := json.Unmarshal(data[i:end], &key); err != nil {
-			return err
-		}
-		i = skipSpace(data, end)
-		if i == len(data) || data[i] != ':' {
-			return fmt.Errorf("want ':' at byte %d", i)
-		}
-		i = skipSpace(data, i+1)
-		if end, err = valueEnd(data, i); err != nil {
-			return err
-		}
-		if err := f(key, data[i:end]); err != nil {
-			return err
-		}
-		i = skipSpace(data, end)
-		switch {
-		case i == len(data):
-			return io.ErrUnexpectedEOF
-		case data[i] == '}':
-			return nil
-		case data[i] != ',':
-			return fmt.Errorf("want ',' or '}' at byte %d", i)
-		}
-		i = skipSpace(data, i+1)
-	}
+// peekPayload is the part of a checkpoint payload the peek reads.
+type peekPayload struct {
+	SimNow time.Time
 }
 
-// valueEnd returns the offset just past the JSON value that starts at
-// data[i]. On valid JSON that is where the value ends: a container ends
-// at its matching bracket, a string at its closing quote, and any other
-// value at the next delimiter.
-func valueEnd(data []byte, i int) (int, error) {
-	depth := 0
-	for i < len(data) {
-		switch data[i] {
-		case '"':
-			n := quotedLen(data[i:])
-			if n < 0 {
-				return 0, io.ErrUnexpectedEOF
-			}
-			i += n
-		case '{', '[':
-			depth++
-			i++
-			continue
-		case '}', ']':
-			if depth == 0 {
-				return i, nil
-			}
-			depth--
-			i++
-		case ',', ':', ' ', '\t', '\n', '\r':
-			if depth == 0 {
-				return i, nil
-			}
-			i++
-			continue
-		default:
-			i++
-			continue
-		}
-		if depth == 0 {
-			return i, nil
-		}
+// UnmarshalJSON decodes each payload afresh. Unmarshal reuses a struct
+// it decodes into, so without this a repeated "payload" key lacking
+// sim_now would keep the first one's instant, where DecodeCheckpoint,
+// which decodes only the last payload, reads the zero instant.
+func (p *peekPayload) UnmarshalJSON(b []byte) error {
+	var v struct {
+		SimNow time.Time `json:"sim_now"`
 	}
-	return 0, io.ErrUnexpectedEOF
-}
-
-// quotedLen returns the length of the JSON string at the start of s,
-// quotes included, or -1 if it does not end.
-func quotedLen(s []byte) int {
-	for i := 1; i < len(s); i++ {
-		switch s[i] {
-		case '"':
-			return i + 1
-		case '\\':
-			i++
-		}
-	}
-	return -1
-}
-
-// skipSpace returns the offset of the first non-whitespace byte of data
-// at or after i.
-func skipSpace(data []byte, i int) int {
-	for i < len(data) && (data[i] == ' ' || data[i] == '\t' || data[i] == '\n' || data[i] == '\r') {
-		i++
-	}
-	return i
+	err := json.Unmarshal(b, &v)
+	p.SimNow = v.SimNow
+	return err
 }

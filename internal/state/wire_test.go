@@ -155,8 +155,8 @@ func TestPeekCheckpointInstant(t *testing.T) {
 		reject string
 	}{
 		{"encoded", data, ""},
-		{"garbage", []byte("not json"), "want an object"},
-		{"truncated", data[:len(data)-20], "unexpected EOF"},
+		{"garbage", []byte("not json"), "invalid character"},
+		{"truncated", data[:len(data)-20], "unexpected end of JSON input"},
 		{"snapshot envelope", snap, "kind"},
 		{"snapshot kind after the payload", handEnvelope(`"version":1,`, early, `,"kind":"snapshot"`), "kind"},
 		{"no version", handEnvelope(`"kind":"checkpoint",`, early, ""), "version 0"},
@@ -165,6 +165,7 @@ func TestPeekCheckpointInstant(t *testing.T) {
 		{"later bad version wins", handEnvelope(`"version":1,"Version":2,`, early, ""), "version 2"},
 		{"version after the payload", handEnvelope(``, early, `,"version":1`), ""},
 		{"later payload wins", handEnvelope(`"version":1,"payload":{"sim_now":"2030-01-01T00:00:00Z"},`, early, ""), ""},
+		{"later payload lacks sim_now", handEnvelope(`"version":1,"payload":{"sim_now":"2030-01-01T00:00:00Z","snapshot":{}},`, `{"snapshot":{}}`, ""), ""},
 		{"later sim_now wins", handEnvelope(`"version":1,"KIND":"checkpoint",`, late, ""), ""},
 		{"no sim_now", handEnvelope(`"version":1,`, `{"snapshot":{}}`, ""), ""},
 		{"null sim_now", handEnvelope(`"version":1,`, `{"sim_now":null,"snapshot":{}}`, ""), ""},
