@@ -39,8 +39,11 @@ VERIFY_backends := TestCrossBackendEquivalence
 # chaos: a study soaked in the default fault profile (latency, 5xx
 # bursts, resets, corrupted bodies) on both backends must be
 # byte-identical to the fault-free run, and failure faults must reach
-# each platform's poll endpoint with poll.<platform> retries recorded.
-VERIFY_chaos := TestStudyUnderFaultsDeterministic|TestBlackoutSurvivedAndObserved|TestChaosReachesEveryPollEndpoint
+# each platform's poll endpoint with poll.<platform> retries recorded;
+# the web endpoint must draw the same faults on both backends, with
+# fetch.<host> retries recorded, and a web blackout must leave both
+# backends with the same study.
+VERIFY_chaos := TestStudyUnderFaultsDeterministic|TestBlackoutSurvivedAndObserved|TestChaosReachesEveryPollEndpoint|TestChaosReachesSnapshotSource
 # stream: the same seed at every (workers × queue-depth × backend)
 # combination must yield a byte-identical study, and a failed poll must
 # end the run at once.

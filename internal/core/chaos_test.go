@@ -350,3 +350,111 @@ func TestClockSkewPerturbsObservationsDeterministically(t *testing.T) {
 		t.Fatalf("skewed stats diverge between 1 and 4 shards:\n1: %+v\n4: %+v", skewed.stats, sharded.stats)
 	}
 }
+
+// webFaults chains a per-kind tally of the faults fired on the "web"
+// endpoint onto the injector's observer at the first poll, as
+// observedStream does for every endpoint.
+type webFaults struct {
+	inner world.URLStream
+	f     *FreePhish
+	once  sync.Once
+	mu    sync.Mutex
+	kinds map[string]int
+}
+
+func (s *webFaults) Poll(now time.Time) ([]crawler.StreamedURL, error) {
+	s.once.Do(func() {
+		inner := s.f.injector.Observe
+		s.f.injector.Observe = func(kind, endpoint, key string) {
+			if endpoint == "web" {
+				s.mu.Lock()
+				s.kinds[kind]++
+				s.mu.Unlock()
+			}
+			inner(kind, endpoint, key)
+		}
+	})
+	return s.inner.Poll(now)
+}
+
+// TestChaosReachesSnapshotSource pins chaos on the snapshot path, which
+// the inproc backend reads straight from the host: the web endpoint must
+// draw the same faults, kind for kind, as the http backend's middleware,
+// with fetch.<host> retries recorded on both; and a web blackout longer
+// than the retry budget must leave both backends with the same study —
+// the blacked-out fetches read a 503 page, they do not fail the run.
+func TestChaosReachesSnapshotSource(t *testing.T) {
+	run := func(backend string, prof faults.Profile) (chaosRun, map[string]int) {
+		t.Helper()
+		cfg := equivalenceConfig(backend)
+		cfg.Faults = &prof
+		f := newCached(cfg)
+		var wf *webFaults
+		f.streamWrap = func(s world.URLStream) world.URLStream {
+			wf = &webFaults{inner: s, f: f, kinds: map[string]int{}}
+			return wf
+		}
+		study, err := f.Run()
+		if err != nil {
+			t.Fatalf("%s backend: %v", backend, err)
+		}
+		if err := f.Verify(); err != nil {
+			t.Fatalf("%s backend failed verification: %v", backend, err)
+		}
+		var buf bytes.Buffer
+		if err := study.WriteJSONL(&buf); err != nil {
+			t.Fatal(err)
+		}
+		return chaosRun{jsonl: buf.Bytes(), stats: f.Stats(), obs: f.Observations(), fp: f}, wf.kinds
+	}
+	fetchRetries := func(f *FreePhish) float64 {
+		var n float64
+		for _, s := range f.Metrics.Registry.Snapshot() {
+			if s.Name == "freephish_retries_total" && strings.HasPrefix(s.Labels["key"], "fetch.") {
+				n += s.Value
+			}
+		}
+		return n
+	}
+
+	inproc, inKinds := run(BackendInproc, faults.DefaultProfile())
+	httpRun, httpKinds := run(BackendHTTP, faults.DefaultProfile())
+	if !reflect.DeepEqual(inKinds, httpKinds) {
+		t.Errorf("web faults by kind: inproc %v, http %v", inKinds, httpKinds)
+	}
+	t.Logf("web faults by kind: %v", inKinds)
+	for _, kind := range []string{faults.KindServerErr, faults.KindReset, faults.KindTruncate} {
+		if inKinds[kind] == 0 {
+			t.Errorf("no %s fault fired on the web endpoint (%v)", kind, inKinds)
+		}
+	}
+	for name, r := range map[string]chaosRun{"inproc": inproc, "http": httpRun} {
+		if fetchRetries(r.fp) == 0 {
+			t.Errorf("%s: no fetch.<host> retries recorded", name)
+		}
+	}
+
+	// The web is dark for three days early in the window: every fetch in
+	// it exhausts the retry budget on 503s.
+	blackout := faults.Profile{
+		MaxConsecutive: 2,
+		Blackouts:      []faults.Blackout{{Endpoint: "web", Start: 5 * 24 * time.Hour, Length: 3 * 24 * time.Hour}},
+	}
+	inDark, inDarkKinds := run(BackendInproc, blackout)
+	httpDark, httpDarkKinds := run(BackendHTTP, blackout)
+	if inDarkKinds[faults.KindBlackout] == 0 || !reflect.DeepEqual(inDarkKinds, httpDarkKinds) {
+		t.Fatalf("web blackout faults: inproc %v, http %v", inDarkKinds, httpDarkKinds)
+	}
+	if !bytes.Equal(inDark.jsonl, httpDark.jsonl) {
+		t.Error("a web blackout gives different records on the two backends")
+	}
+	if inDark.stats != httpDark.stats {
+		t.Errorf("a web blackout gives different stats:\ninproc: %+v\nhttp:   %+v", inDark.stats, httpDark.stats)
+	}
+	if !reflect.DeepEqual(inDark.obs, httpDark.obs) {
+		t.Error("a web blackout gives different monitor observations on the two backends")
+	}
+	if inDark.stats == inproc.stats {
+		t.Error("a three-day web blackout left the study's stats untouched; no fetch fell in it")
+	}
+}

@@ -799,7 +799,7 @@ func (f *FreePhish) admitRecord(p *probeResult, score float64, tier string, now 
 	j := f.Metrics.Journal
 	asp := f.Metrics.Tracer.Start("assess")
 	target, err := f.world.Intel.Profile(world.ProfileRequest{
-		URL: su.URL, HTML: page.HTML, SharedAt: su.At,
+		URL: su.URL, HTML: page.HTML, Doc: page.Doc, SharedAt: su.At,
 		Platform: su.Platform, PostID: su.PostID,
 	})
 	if err != nil {

@@ -18,9 +18,9 @@ import (
 
 // Backends: how the pipeline's world ports are wired.
 const (
-	// BackendInproc dispatches the crawler through an in-process
-	// RoundTripper and binds the remaining ports straight to the Sim.
-	// Zero sockets; the default.
+	// BackendInproc serves the crawler's snapshots and pages straight
+	// from the Sim and binds the remaining ports to it too. Zero
+	// sockets; the default.
 	BackendInproc = "inproc"
 	// BackendHTTP serves the simulated web, the platform APIs, the
 	// blocklist feeds, and the SimAPI on real loopback listeners and
@@ -131,25 +131,24 @@ func (f *FreePhish) chaos(endpoint string, jsonBody bool, h http.Handler) http.H
 	return f.injector.Middleware(endpoint, jsonBody, h)
 }
 
-// startInproc dispatches the fetcher's HTTP client through an in-process
-// RoundTripper — same handlers, same bytes, no sockets — serves the
-// poller's pages straight from the platform networks, and binds every
-// other port directly to the Sim.
+// startInproc serves the fetcher's snapshots straight from the virtual-
+// host web and the poller's pages straight from the platform networks —
+// same bytes, same chaos draws, no sockets and no net/http — and binds
+// every other port directly to the Sim.
 func (f *FreePhish) startInproc() error {
-	rt := world.NewHandlerTransport()
-	rt.Handle("web.inproc", f.chaos("web", false, f.Sim.WebHandler()))
-	// The poller never dials: its endpoint map only names the platforms.
+	// Neither crawler dials: the fetcher ignores its base and the poller's
+	// endpoint map only names the platforms.
 	platforms := make(map[threat.Platform]string, len(f.Sim.Networks))
 	for _, plat := range f.Sim.Platforms() {
 		platforms[plat] = ""
 	}
-	// No Timeout: the handler runs on the caller's goroutine, so a deadline cuts nothing short, yet arms a timer per request.
-	client := &http.Client{Transport: rt}
-	f.wirePipeline("http://web.inproc", platforms, client)
+	f.wirePipeline("", platforms)
 	var portFault func(endpoint, key string) error
+	var webGet func(endpoint, host, requestURI string, serve func() (int, string)) (int, string, error)
 	if f.injector != nil {
-		portFault = f.injector.PortFault
+		portFault, webGet = f.injector.PortFault, f.injector.Get
 	}
+	f.fetcher.Source = world.Snapshots(f.Sim.Host, webGet)
 	f.poller.Pages = world.Pages(f.Sim.Networks, portFault)
 	f.world = world.WithJournal(
 		world.WithRetry(world.WithFaults(world.Inproc(f.Sim), portFault), f.retryPol),
@@ -194,7 +193,7 @@ func (f *FreePhish) startHTTP() error {
 			return err
 		}
 	}
-	f.wirePipeline(hostSrv.base, endpoints, nil)
+	f.wirePipeline(hostSrv.base, endpoints)
 	f.world = world.WithJournal(world.OverHTTP(world.Endpoints{
 		API:       apiSrv.base,
 		Platforms: endpoints,
@@ -218,19 +217,16 @@ func (f *FreePhish) wrapStream(s world.URLStream) world.URLStream {
 
 // wirePipeline builds the fetcher and poller against the given web base
 // and platform endpoints — identical construction for both backends, so
-// retries, caching, and pagination behave the same way everywhere. A nil
-// client leaves each component on its own timeout-bearing default.
-func (f *FreePhish) wirePipeline(webBase string, endpoints map[threat.Platform]string, client *http.Client) {
+// retries, caching, and pagination behave the same way everywhere. Each
+// component keeps its own timeout-bearing client.
+func (f *FreePhish) wirePipeline(webBase string, endpoints map[threat.Platform]string) {
 	f.fetcher = crawler.NewFetcher(webBase)
-	if client != nil {
-		f.fetcher.Client = client
-	}
 	f.fetcher.Retry = f.retryPol
 	if f.Config.SnapshotCacheSize >= 0 {
 		f.snapCache = crawler.NewSnapshotCache(f.Config.SnapshotCacheSize)
 		f.fetcher.Cache = f.snapCache
 	}
-	f.poller = crawler.NewPoller(endpoints, client, f.Config.Epoch)
+	f.poller = crawler.NewPoller(endpoints, nil, f.Config.Epoch)
 	f.poller.Retry = f.retryPol
 	if f.Config.PollQuota > 0 {
 		// Quota bucket against the simulation clock, so throttling scales

@@ -7,7 +7,8 @@
 // every domain from one listener, the Fetcher rewrites the dial target to
 // the simulation endpoint while preserving the original URL in the Host
 // header — the same pattern used to point a crawler at a staging mirror.
-// A Poller may instead read its pages in process through a PageSource.
+// A Poller may instead read its pages in process through a PageSource,
+// and a Fetcher its snapshots through a SnapshotSource.
 package crawler
 
 import (
@@ -309,12 +310,28 @@ func (p *Poller) fetchPage(plat threat.Platform, u string) (posts []apiPost, mor
 // against crawlers (§6); a bot-like UA would be served a decoy page.
 const ChromiumUA = "Mozilla/5.0 (X11; Linux x86_64) AppleWebKit/537.36 (KHTML, like Gecko) Chrome/107.0.0.0 Safari/537.36"
 
+// SnapshotSource serves one page in process, in place of GET target with
+// the given User-Agent over HTTP: the status and body a client would read.
+// An error fails the attempt; one marked retry.Transient is retried. A
+// read that breaks off returns the bytes delivered before the break
+// together with its error, as io.Reader does; if those reach
+// MaxSnapshotBytes, the capped read never sees the break.
+type SnapshotSource func(target *url.URL, userAgent string) (status int, body string, err error)
+
+// MaxSnapshotBytes caps one snapshot body on both paths: longer bodies
+// are cut to their first MaxSnapshotBytes bytes.
+const MaxSnapshotBytes = 4 << 20
+
 // Fetcher captures website snapshots. Base, when set, redirects all dials
 // to the simulation endpoint while keeping the target URL's host in the
 // Host header.
 type Fetcher struct {
 	Base   string // e.g. the httptest server URL fronting the simulated web
 	Client *http.Client
+	// Source, when set, serves every page in process instead of over
+	// Client, and Base is ignored. Retries, the status contract, the
+	// observer and the cache behave exactly as on the HTTP path.
+	Source SnapshotSource
 	// Retry, when set, is the unified retry policy governing attempts,
 	// backoff, and circuit breaking (keyed per target host). When nil, a
 	// policy is derived from Retries/Backoff per call.
@@ -372,24 +389,15 @@ func (f *Fetcher) SnapshotContext(ctx context.Context, rawURL string) (features.
 	if err != nil {
 		return features.Page{}, 0, fmt.Errorf("crawler: bad URL %q: %w", rawURL, err)
 	}
-	reqURL := rawURL
-	if f.Base != "" {
-		base, err := url.Parse(f.Base)
-		if err != nil {
-			return features.Page{}, 0, fmt.Errorf("crawler: bad base %q: %w", f.Base, err)
-		}
-		rewritten := *target
-		rewritten.Scheme = base.Scheme
-		rewritten.Host = base.Host
-		reqURL = rewritten.String()
-	}
-	client := f.Client
-	if client == nil {
-		client = defaultFetchClient
-	}
 	ua := f.UserAgent
 	if ua == "" {
 		ua = ChromiumUA
+	}
+	get := f.Source
+	if get == nil {
+		if get, err = f.httpSource(ctx); err != nil {
+			return features.Page{}, 0, err
+		}
 	}
 	pol := f.Retry
 	if pol == nil {
@@ -411,25 +419,17 @@ func (f *Fetcher) SnapshotContext(ctx context.Context, rawURL string) (features.
 	)
 	doErr := pol.Do(ctx, "fetch."+target.Host, func() error {
 		attempts++
-		req, err := http.NewRequestWithContext(ctx, http.MethodGet, reqURL, nil)
+		code, body, err := get(target, ua)
+		if len(body) >= MaxSnapshotBytes {
+			body, err = body[:MaxSnapshotBytes], nil
+		}
 		if err != nil {
 			return err
 		}
-		req.Host = target.Host // original virtual host
-		req.Header.Set("User-Agent", ua)
-		resp, err := client.Do(req)
-		if err != nil {
-			return retry.Transient(err)
-		}
-		body, err := io.ReadAll(io.LimitReader(resp.Body, 4<<20))
-		resp.Body.Close()
-		if err != nil {
-			return retry.Transient(fmt.Errorf("read %q: %w", rawURL, err))
-		}
-		page = features.Page{URL: rawURL, HTML: string(body)}
-		status = resp.StatusCode
-		if resp.StatusCode >= 500 {
-			return retry.Transient(&retry.StatusError{Code: resp.StatusCode})
+		page = features.Page{URL: rawURL, HTML: body}
+		status = code
+		if code >= 500 {
+			return retry.Transient(&retry.StatusError{Code: code})
 		}
 		return nil
 	})
@@ -455,4 +455,46 @@ func (f *Fetcher) SnapshotContext(ctx context.Context, rawURL string) (features.
 		return f.Cache.Page(rawURL, page.HTML), status, nil
 	}
 	return page, status, nil
+}
+
+// httpSource is the SnapshotSource over Client: each GET dials Base when
+// set, keeping the target's host in the Host header. A transport error
+// and a body that breaks off are transient.
+func (f *Fetcher) httpSource(ctx context.Context) (SnapshotSource, error) {
+	var base *url.URL
+	if f.Base != "" {
+		var err error
+		if base, err = url.Parse(f.Base); err != nil {
+			return nil, fmt.Errorf("crawler: bad base %q: %w", f.Base, err)
+		}
+	}
+	client := f.Client
+	if client == nil {
+		client = defaultFetchClient
+	}
+	return func(target *url.URL, ua string) (int, string, error) {
+		reqURL := target
+		if base != nil {
+			rewritten := *target
+			rewritten.Scheme = base.Scheme
+			rewritten.Host = base.Host
+			reqURL = &rewritten
+		}
+		req, err := http.NewRequestWithContext(ctx, http.MethodGet, reqURL.String(), nil)
+		if err != nil {
+			return 0, "", err
+		}
+		req.Host = target.Host // original virtual host
+		req.Header.Set("User-Agent", ua)
+		resp, err := client.Do(req)
+		if err != nil {
+			return 0, "", retry.Transient(err)
+		}
+		body, err := io.ReadAll(io.LimitReader(resp.Body, MaxSnapshotBytes))
+		resp.Body.Close()
+		if err != nil {
+			err = retry.Transient(fmt.Errorf("read %q: %w", target, err))
+		}
+		return resp.StatusCode, string(body), err
+	}, nil
 }

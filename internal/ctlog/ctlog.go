@@ -78,6 +78,9 @@ type Entry struct {
 type Log struct {
 	mu      sync.RWMutex
 	entries []Entry
+	// latest indexes the entries by CommonName: the latest LoggedAt of
+	// any certificate with that name.
+	latest map[string]time.Time
 }
 
 // Append records a newly issued certificate. FWB-hosted sites never call
@@ -87,6 +90,12 @@ func (l *Log) Append(cert Certificate, at time.Time) Entry {
 	defer l.mu.Unlock()
 	e := Entry{Cert: cert, LoggedAt: at, Index: len(l.entries)}
 	l.entries = append(l.entries, e)
+	if l.latest == nil {
+		l.latest = make(map[string]time.Time)
+	}
+	if prev, ok := l.latest[cert.CommonName]; !ok || at.After(prev) {
+		l.latest[cert.CommonName] = at
+	}
 	return e
 }
 
@@ -124,11 +133,19 @@ func (l *Log) ContainsHost(host string) bool {
 // new entries, so a years-old wildcard certificate (the FWB shared cert)
 // never surfaces a newly created subdomain site — the Section 3
 // CT-invisibility mechanism.
+//
+// The answer is the one a scan calling Covers on every entry gives, read
+// from the CommonName index: host is covered by its own name and, when
+// its first label is non-empty, by the wildcard over the rest.
 func (l *Log) ContainsHostSince(host string, since time.Time) bool {
+	host = strings.ToLower(host)
 	l.mu.RLock()
 	defer l.mu.RUnlock()
-	for _, e := range l.entries {
-		if !e.LoggedAt.Before(since) && e.Cert.Covers(host) {
+	if at, ok := l.latest[host]; ok && !at.Before(since) {
+		return true
+	}
+	if label, rest, found := strings.Cut(host, "."); found && label != "" {
+		if at, ok := l.latest["*."+rest]; ok && !at.Before(since) {
 			return true
 		}
 	}

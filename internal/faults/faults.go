@@ -29,6 +29,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"hash/fnv"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"strconv"
@@ -433,16 +434,12 @@ func (i *Injector) PortFault(endpoint, key string) error {
 // corruption wraps GETs only.
 func (i *Injector) Middleware(endpoint string, jsonBody bool, h http.Handler) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		key := endpoint + "|" + r.Method + "|" + r.Host + "|" + r.URL.RequestURI()
-		kind, latency := i.decide(endpoint, key, r.Method == http.MethodGet, jsonBody)
-		if latency > 0 {
-			i.sleep(latency)
-		}
+		kind := i.request(endpoint, r.Method, r.Host, r.URL.RequestURI(), jsonBody)
 		switch kind {
 		case "":
 			h.ServeHTTP(w, r)
 		case KindServerErr, KindBlackout:
-			http.Error(w, "injected fault: service unavailable", http.StatusServiceUnavailable)
+			http.Error(w, unavailable, http.StatusServiceUnavailable)
 		case KindReset, KindDNSFail:
 			// A failed resolution and a reset connection look identical from
 			// the client's side of the socket: the request dies at the
@@ -454,7 +451,7 @@ func (i *Injector) Middleware(endpoint string, jsonBody bool, h http.Handler) ht
 			body := rec.Body.Bytes()
 			if len(body) < 2 {
 				// Nothing to truncate; degrade to a plain 503.
-				http.Error(w, "injected fault: service unavailable", http.StatusServiceUnavailable)
+				http.Error(w, unavailable, http.StatusServiceUnavailable)
 				return
 			}
 			copyHeader(w.Header(), rec.Header())
@@ -475,6 +472,48 @@ func (i *Injector) Middleware(endpoint string, jsonBody bool, h http.Handler) ht
 			w.Write(body)
 		}
 	})
+}
+
+// unavailable is the message of an injected 503; http.Error sends it with
+// a trailing newline.
+const unavailable = "injected fault: service unavailable"
+
+// request draws the fault for one request of method on host+requestURI
+// and serves its injected latency: the decision Middleware makes, keyed
+// "<endpoint>|<method>|<host>|<requestURI>".
+func (i *Injector) request(endpoint, method, host, requestURI string, jsonBody bool) string {
+	key := endpoint + "|" + method + "|" + host + "|" + requestURI
+	kind, latency := i.decide(endpoint, key, method == http.MethodGet, jsonBody)
+	if latency > 0 {
+		i.sleep(latency)
+	}
+	return kind
+}
+
+// Get serves one in-process GET of host+requestURI on endpoint, an HTML
+// endpoint, under the fault Middleware would inject into the same
+// request over HTTP: it draws under the same key, and serve runs only
+// where the inner handler would. The answer is what a client of the
+// middleware reads: a 5xx or blackout is a 503 page with http.Error's
+// body; a reset or resolution failure is a transient transport error;
+// a truncation is a transient short read (io.ErrUnexpectedEOF) returned
+// with the half body it delivered, or a 503 page when the body is too
+// short to cut.
+func (i *Injector) Get(endpoint, host, requestURI string, serve func() (int, string)) (int, string, error) {
+	switch kind := i.request(endpoint, http.MethodGet, host, requestURI, false); kind {
+	case KindServerErr, KindBlackout:
+		return http.StatusServiceUnavailable, unavailable + "\n", nil
+	case KindReset, KindDNSFail:
+		return 0, "", retry.Transient(fmt.Errorf("faults: GET http://%s%s: injected %s", host, requestURI, kind))
+	case KindTruncate:
+		status, body := serve()
+		if len(body) < 2 {
+			return http.StatusServiceUnavailable, unavailable + "\n", nil
+		}
+		return status, body[:len(body)/2], retry.Transient(fmt.Errorf("faults: GET http://%s%s: injected truncate: %w", host, requestURI, io.ErrUnexpectedEOF))
+	}
+	status, body := serve()
+	return status, body, nil
 }
 
 func copyHeader(dst, src http.Header) {

@@ -2,6 +2,7 @@ package fwb
 
 import (
 	"fmt"
+	"io"
 	"net/http"
 	"net/url"
 	"strings"
@@ -145,36 +146,51 @@ func (h *Host) Len() int {
 	return len(h.sites)
 }
 
-// ServeHTTP serves hosted sites. The request host is taken from the Host
-// header (so a single test server can front every simulated domain, with
-// the crawler setting the header), and taken-down sites return 410 Gone,
-// mirroring how FWBs replace removed sites.
-func (h *Host) ServeHTTP(w http.ResponseWriter, r *http.Request) {
-	hostname := r.Host
-	if i := strings.IndexByte(hostname, ':'); i >= 0 {
-		hostname = hostname[:i]
+// Serve answers one GET of path on host as a browser presenting ua would
+// see it: the status and the body. host may carry a port, which is
+// ignored; host case and a trailing slash on path are too. An unknown
+// site is a 404, a site taken down by now is a 410 (mirroring how FWBs
+// replace removed sites), and a cloaking site serves its decoy to a
+// bot-like ua. The body is never copied: a hosted site's is its stored
+// HTML.
+func (h *Host) Serve(host, path, ua string) (status int, body string) {
+	if i := strings.IndexByte(host, ':'); i >= 0 {
+		host = host[:i]
 	}
-	key := strings.ToLower(hostname) + strings.TrimSuffix(r.URL.Path, "/")
+	key := strings.ToLower(host) + strings.TrimSuffix(path, "/")
 	h.mu.RLock()
 	site := h.sites[key]
 	h.mu.RUnlock()
-	if site == nil {
-		http.NotFound(w, r)
-		return
+	switch {
+	case site == nil:
+		return http.StatusNotFound, notFoundBody
+	case !site.Active(h.now()):
+		return http.StatusGone, removedPage
+	case site.CloakUA && BotLikeUA(ua):
+		return http.StatusOK, cloakDecoy
 	}
-	if !site.Active(h.now()) {
-		w.Header().Set("Content-Type", "text/html; charset=utf-8")
-		w.WriteHeader(http.StatusGone)
-		fmt.Fprint(w, "<html><body><h1>Site not available</h1><p>This site has been removed for violating our terms of service.</p></body></html>")
+	return http.StatusOK, site.HTML
+}
+
+// ServeHTTP serves hosted sites through Serve. The request host is taken
+// from the Host header, so a single server can front every simulated
+// domain, with the crawler setting the header.
+func (h *Host) ServeHTTP(w http.ResponseWriter, r *http.Request) {
+	status, body := h.Serve(r.Host, r.URL.Path, r.UserAgent())
+	if status == http.StatusNotFound {
+		http.NotFound(w, r) // writes notFoundBody
 		return
 	}
 	w.Header().Set("Content-Type", "text/html; charset=utf-8")
-	if site.CloakUA && BotLikeUA(r.UserAgent()) {
-		fmt.Fprint(w, cloakDecoy)
-		return
-	}
-	fmt.Fprint(w, site.HTML)
+	w.WriteHeader(status)
+	io.WriteString(w, body)
 }
+
+// notFoundBody is the body http.NotFound writes.
+const notFoundBody = "404 page not found\n"
+
+// removedPage replaces a site that was taken down.
+const removedPage = "<html><body><h1>Site not available</h1><p>This site has been removed for violating our terms of service.</p></body></html>"
 
 // cloakDecoy is the innocuous page cloaking sites serve to crawlers.
 const cloakDecoy = `<!DOCTYPE html>

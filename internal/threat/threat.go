@@ -75,13 +75,15 @@ func (t *Target) Evasive() bool {
 // control).
 func Derive(site *fwb.Site, sharedAt time.Time, platform Platform, postID string,
 	db *whois.DB, ct *ctlog.Log, rng *simclock.RNG) *Target {
-	return DeriveFromPage(site, site.HTML, sharedAt, platform, postID, db, ct, rng)
+	return DeriveFromPage(site, site.HTML, nil, sharedAt, platform, postID, db, ct, rng)
 }
 
 // DeriveFromPage is Derive with the page content supplied explicitly — the
 // crawler path, where the analyzed HTML is the crawled snapshot rather than
-// the site's stored body.
-func DeriveFromPage(site *fwb.Site, html string, sharedAt time.Time, platform Platform, postID string,
+// the site's stored body. doc, when non-nil, must be htmlx.Parse(html):
+// the caller's parse of the page, analyzed in place of a fresh one. It is
+// only read.
+func DeriveFromPage(site *fwb.Site, html string, doc *htmlx.Node, sharedAt time.Time, platform Platform, postID string,
 	db *whois.DB, ct *ctlog.Log, rng *simclock.RNG) *Target {
 
 	t := &Target{
@@ -95,7 +97,10 @@ func DeriveFromPage(site *fwb.Site, html string, sharedAt time.Time, platform Pl
 		PostID:   postID,
 		TLS:      strings.HasPrefix(site.URL, "https://"),
 	}
-	analyzePage(t, html)
+	if doc == nil {
+		doc = htmlx.Parse(html)
+	}
+	analyzePage(t, doc)
 
 	if u, err := urlx.Parse(site.URL); err == nil {
 		if db != nil {
@@ -126,10 +131,9 @@ func DeriveFromPage(site *fwb.Site, html string, sharedAt time.Time, platform Pl
 	return t
 }
 
-// analyzePage derives the page-content signals by parsing the HTML — the
+// analyzePage derives the page-content signals from the parsed page — the
 // same heuristics the FreePhish qualitative analysis automated (§5.5).
-func analyzePage(t *Target, html string) {
-	doc := htmlx.Parse(html)
+func analyzePage(t *Target, doc *htmlx.Node) {
 	for _, in := range doc.FindAll("input") {
 		switch in.AttrOr("type", "text") {
 		case "password", "email":

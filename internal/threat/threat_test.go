@@ -2,11 +2,14 @@ package threat
 
 import (
 	"fmt"
+	"net/url"
+	"reflect"
 	"testing"
 	"time"
 
 	"freephish/internal/ctlog"
 	"freephish/internal/fwb"
+	"freephish/internal/htmlx"
 	"freephish/internal/simclock"
 	"freephish/internal/webgen"
 	"freephish/internal/whois"
@@ -162,5 +165,68 @@ func TestDeriveNilInfra(t *testing.T) {
 	tg := Derive(site, epoch, Twitter, "p", nil, nil, nil)
 	if tg.DomainAge != 0 || tg.InCTLog || tg.SearchIndexed {
 		t.Fatalf("nil-infra target has infra signals: %+v", tg)
+	}
+}
+
+// TestDeriveFromSuppliedDoc: a target derived from the caller's parse of
+// the page equals one derived from the HTML, for every page kind the
+// generator serves — FWB phishing and its evasive variants, self-hosted
+// hand-rolled and kit pages, benign sites, and both faces of a cloaked
+// site — and for the cascade's lexical tier, which profiles a URL with
+// no page at all.
+func TestDeriveFromSuppliedDoc(t *testing.T) {
+	g, db, ct, _ := world(9)
+	host := fwb.NewHost(func() time.Time { return epoch })
+	type page struct {
+		name string
+		site *fwb.Site
+		html string
+	}
+	var pages []page
+	add := func(name string, site *fwb.Site) {
+		pages = append(pages, page{name, site, site.HTML})
+	}
+	weebly, _ := fwb.ByKey("weebly")
+	gs, _ := fwb.ByKey("googlesites")
+	for _, kind := range []fwb.SiteKind{fwb.KindPhishing, fwb.KindTwoStep, fwb.KindIFrameEmbed, fwb.KindDriveByDL} {
+		add("fwb "+string(kind), g.PhishingFWBSiteOf(weebly, kind, epoch))
+		add("path-based fwb "+string(kind), g.PhishingFWBSiteOf(gs, kind, epoch))
+	}
+	add("self-hosted", g.SelfHostedPhishing(epoch))
+	kitSite, _ := g.SelfHostedKitPhishing(epoch)
+	add("kit", kitSite)
+	add("benign fwb", g.BenignFWBSite(weebly, epoch))
+	add("benign self-hosted", g.BenignSelfHosted(epoch))
+	cloaked := g.SelfHostedPhishing(epoch)
+	cloaked.CloakUA = true
+	if err := host.Publish(cloaked); err != nil {
+		t.Fatal(err)
+	}
+	u, err := url.Parse(cloaked.URL)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, ua := range []string{"curl/8.0", "Mozilla/5.0 Chrome/107.0"} {
+		status, body := host.Serve(u.Host, u.Path, ua)
+		if status != 200 {
+			t.Fatalf("cloaked site answered %d", status)
+		}
+		pages = append(pages, page{"cloaked, served to " + ua, cloaked, body})
+	}
+	pages = append(pages, page{"lexical tier (no page)", cloaked, ""})
+
+	for i, p := range pages {
+		post := fmt.Sprintf("p%d", i)
+		fromHTML := DeriveFromPage(p.site, p.html, nil, epoch, Twitter, post, db, ct, simclock.NewRNG(9, post))
+		fromDoc := DeriveFromPage(p.site, p.html, htmlx.Parse(p.html), epoch, Twitter, post, db, ct, simclock.NewRNG(9, post))
+		if !reflect.DeepEqual(fromHTML, fromDoc) {
+			t.Errorf("%s: derived from the supplied parse\n%+v\nfrom the HTML\n%+v", p.name, fromDoc, fromHTML)
+		}
+	}
+	// The supplied parse is what is analyzed: a Doc that is not the
+	// parse of the HTML (a contract breach) shows through.
+	phish := g.PhishingFWBSiteOf(weebly, fwb.KindPhishing, epoch)
+	if tg := DeriveFromPage(phish, phish.HTML, htmlx.Parse("<p>nothing</p>"), epoch, Twitter, "px", db, ct, nil); tg.HasCredentialFields {
+		t.Error("DeriveFromPage parsed the HTML although a Doc was supplied")
 	}
 }

@@ -5,13 +5,17 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"net/url"
 	"strconv"
+
+	"freephish/internal/crawler"
+	"freephish/internal/fwb"
 )
 
 // Inproc returns the in-process adapter set: every port is the Sim
 // itself. Stream and Snap are left nil — the caller wires its poller
-// (typically reading through Pages) and fetcher (typically over a
-// HandlerTransport) into those slots, with zero sockets.
+// (typically reading through Pages) and fetcher (typically reading
+// through Snapshots) into those slots, with zero sockets.
 func Inproc(s *Sim) World {
 	return World{
 		Intel:    s,
@@ -22,12 +26,33 @@ func Inproc(s *Sim) World {
 	}
 }
 
+// webEndpoint is the virtual-host web's chaos endpoint on both backends.
+const webEndpoint = "web"
+
+// Snapshots is the inproc fetcher's snapshot source (Sim.Host in a
+// study): each page comes straight from the host through fwb.Host.Serve,
+// the answer Host.ServeHTTP writes, with no HTTP request and no copy of
+// the body. chaos, when non-nil, serves each page under the fault the
+// "web" endpoint's middleware would inject into the same GET:
+// (*faults.Injector).Get is such a func.
+func Snapshots(h *fwb.Host, chaos func(endpoint, host, requestURI string, serve func() (int, string)) (int, string, error)) crawler.SnapshotSource {
+	return func(target *url.URL, ua string) (int, string, error) {
+		if chaos == nil {
+			status, body := h.Serve(target.Host, target.Path, ua)
+			return status, body, nil
+		}
+		return chaos(webEndpoint, target.Host, target.RequestURI(), func() (int, string) {
+			return h.Serve(target.Host, target.Path, ua)
+		})
+	}
+}
+
 // HandlerTransport is an http.RoundTripper that dispatches requests to
 // in-process handlers keyed on the request's URL host — the same bytes a
-// loopback server would produce, without sockets. It lets the crawler's
-// fetcher (a real net/http client) run against the simulation with no
-// listeners, which is what keeps the inproc backend byte-for-byte
-// identical to serving the handlers over TCP.
+// loopback server would produce, without sockets. It lets a real net/http
+// client (the proxy's fetcher, perfbench's layer replay, the tests that
+// hold Snapshots to the HTTP path) run against the simulation with no
+// listeners.
 type HandlerTransport struct {
 	hosts map[string]http.Handler
 	// Default, when set, handles any host without an explicit entry.

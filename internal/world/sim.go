@@ -116,7 +116,8 @@ func (s *Sim) Resolve(url string) (SiteInfo, error) {
 }
 
 // Profile derives the threat profile of a crawled page, consulting WHOIS
-// and the CT log exactly as an external observer would.
+// and the CT log exactly as an external observer would. It parses
+// req.HTML only when req.Doc is nil.
 func (s *Sim) Profile(req ProfileRequest) (*threat.Target, error) {
 	site := s.Host.Lookup(req.URL)
 	if site == nil {
@@ -124,7 +125,7 @@ func (s *Sim) Profile(req ProfileRequest) (*threat.Target, error) {
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return threat.DeriveFromPage(site, req.HTML, req.SharedAt, req.Platform, req.PostID,
+	return threat.DeriveFromPage(site, req.HTML, req.Doc, req.SharedAt, req.Platform, req.PostID,
 		s.Whois, s.CT, s.urlRNG("assess.profile", req.URL)), nil
 }
 

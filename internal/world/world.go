@@ -4,10 +4,10 @@
 // channels — plus two interchangeable adapter sets:
 //
 //   - Inproc wires the ports straight to the simulation substrate (Sim),
-//     with the fetcher dispatched through an in-process RoundTripper and
-//     the poller reading pages from the platforms through Pages. Zero
-//     sockets, bit-identical to the study the pipeline has always
-//     produced.
+//     with the fetcher reading snapshots from the virtual-host web through
+//     Snapshots and the poller reading pages from the platforms through
+//     Pages. No sockets and no net/http on the study path, bit-identical
+//     to the study the pipeline has always produced.
 //   - OverHTTP speaks to real net/http servers: the virtual-host web
 //     server, the platform APIs, the blocklist feeds, and a SimAPI server
 //     exposing intelligence/assessment/report endpoints. This is the
@@ -26,6 +26,7 @@ import (
 	"freephish/internal/blocklist"
 	"freephish/internal/crawler"
 	"freephish/internal/features"
+	"freephish/internal/htmlx"
 	"freephish/internal/report"
 	"freephish/internal/threat"
 )
@@ -48,6 +49,11 @@ type ProfileRequest struct {
 	SharedAt time.Time
 	Platform threat.Platform
 	PostID   string
+	// Doc, when set, must be htmlx.Parse(HTML) — the parse the fetch stage
+	// already made — and spares the profile its own parse of HTML. It is
+	// never sent over the wire: the http backend's server parses HTML
+	// itself.
+	Doc *htmlx.Node
 }
 
 // PostStatus is a platform API's answer about one post.
