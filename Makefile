@@ -34,8 +34,10 @@ ci: fmt-check vet race
 VERIFY := backends chaos stream journal cascade shards resume remote-shards adoption
 
 # backends: the same seed through the inproc and http backends must yield
-# a byte-identical study (the ports-and-adapters boundary).
-VERIFY_backends := TestCrossBackendEquivalence
+# a byte-identical study (the ports-and-adapters boundary), and on both the
+# fetch stage must parse each page once for classify and the profile while
+# no snapshot probe, the monitor's re-probes included, parses at all.
+VERIFY_backends := TestCrossBackendEquivalence|TestFetchStageParsesOnce
 # chaos: a study soaked in the default fault profile (latency, 5xx
 # bursts, resets, corrupted bodies) on both backends must be
 # byte-identical to the fault-free run, and failure faults must reach
@@ -82,8 +84,9 @@ VERIFY_resume := TestResumeByteIdentical|TestCheckpointCutsMatchReference|TestRe
 # Every Config field must travel through the spec (or be allowlisted as
 # deployment-only), every study-shaping spec field must move the
 # fingerprint, and a spec with an out-of-range shard position must be
-# refused.
-VERIFY_remote-shards := TestRemoteShardDeterminism|TestWorkerBreakerFailover|TestConfigSpecRoundTrip|TestSpecFingerprintFields|TestSpecRunnerRejectsShardOutOfRange
+# refused. A spec or adoption checkpoint that still carries the retired
+# snapshot_cache_size key must decode, fingerprint the same and run.
+VERIFY_remote-shards := TestRemoteShardDeterminism|TestWorkerBreakerFailover|TestConfigSpecRoundTrip|TestSpecFingerprintFields|TestSpecRunnerRejectsShardOutOfRange|TestRetiredSnapshotCacheSizeDecodes
 # adoption: a shard runner killed mid-run (local panic or remote
 # connection death) must be replaced by a runner that resumes from the
 # dead runner's last streamed checkpoint — never from scratch — and the

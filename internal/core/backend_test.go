@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"go/ast"
 	"go/parser"
@@ -13,9 +14,12 @@ import (
 	"reflect"
 	"regexp"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"freephish/internal/analysis"
 )
 
 // equivalenceConfig is small enough to run the study twice in one test
@@ -31,47 +35,77 @@ func equivalenceConfig(backend string) Config {
 	return cfg
 }
 
+// backendRun is one equivalenceConfig study, shared by the tests that
+// read it: its outputs, its framework, and the traffic its Snapshotter and
+// SiteIntel ports carried.
+type backendRun struct {
+	f       *FreePhish
+	study   *analysis.Study
+	jsonl   []byte
+	stats   Stats
+	obs     map[string]*Observation
+	table3  string
+	figure5 string
+	ports   *portLog
+	err     error
+}
+
+var (
+	backendRunsMu sync.Mutex
+	backendRuns   = map[string]*backendRun{}
+)
+
+// equivalenceRun runs the equivalenceConfig study on backend once per
+// test binary, with a portLog on the world ports, and fails t if it failed.
+func equivalenceRun(t *testing.T, backend string) *backendRun {
+	t.Helper()
+	backendRunsMu.Lock()
+	defer backendRunsMu.Unlock()
+	r, ok := backendRuns[backend]
+	if !ok {
+		r = runEquivalence(backend)
+		backendRuns[backend] = r
+	}
+	if r.err != nil {
+		t.Fatalf("%s backend: %v", backend, r.err)
+	}
+	return r
+}
+
+func runEquivalence(backend string) *backendRun {
+	r := &backendRun{f: newCached(equivalenceConfig(backend)), ports: newPortLog()}
+	r.f.wrapWorld = r.ports.wrap
+	study, err := r.f.Run()
+	if err != nil {
+		r.err = err
+		return r
+	}
+	if err := r.f.Verify(); err != nil {
+		r.err = fmt.Errorf("failed verification: %w", err)
+		return r
+	}
+	if len(study.Records) == 0 {
+		r.err = errors.New("produced no records")
+		return r
+	}
+	var buf bytes.Buffer
+	if err := study.WriteJSONL(&buf); err != nil {
+		r.err = err
+		return r
+	}
+	r.study, r.jsonl, r.stats, r.obs = study, buf.Bytes(), r.f.Stats(), r.f.Observations()
+	r.table3, r.figure5 = RenderTable3(study), RenderFigure5(study, 15)
+	return r
+}
+
 // TestCrossBackendEquivalence is the tentpole acceptance check: the same
 // seed pushed through the in-process port wiring and through real
 // loopback HTTP servers must produce byte-identical studies. Everything
 // stateful happens in the Sim in stream order, so the access path — direct
 // call or wire round-trip — must not be observable in the results.
 func TestCrossBackendEquivalence(t *testing.T) {
-	type run struct {
-		jsonl   []byte
-		stats   Stats
-		obs     map[string]*Observation
-		table3  string
-		figure5 string
-	}
-	runBackend := func(backend string) run {
-		t.Helper()
-		f := newCached(equivalenceConfig(backend))
-		study, err := f.Run()
-		if err != nil {
-			t.Fatalf("%s backend: %v", backend, err)
-		}
-		if err := f.Verify(); err != nil {
-			t.Fatalf("%s backend failed verification: %v", backend, err)
-		}
-		if len(study.Records) == 0 {
-			t.Fatalf("%s backend produced no records", backend)
-		}
-		var buf bytes.Buffer
-		if err := study.WriteJSONL(&buf); err != nil {
-			t.Fatal(err)
-		}
-		return run{
-			jsonl:   buf.Bytes(),
-			stats:   f.Stats(),
-			obs:     f.Observations(),
-			table3:  RenderTable3(study),
-			figure5: RenderFigure5(study, 15),
-		}
-	}
-
-	inproc := runBackend(BackendInproc)
-	overHTTP := runBackend(BackendHTTP)
+	inproc := equivalenceRun(t, BackendInproc)
+	overHTTP := equivalenceRun(t, BackendHTTP)
 
 	if !bytes.Equal(inproc.jsonl, overHTTP.jsonl) {
 		a := strings.Split(string(inproc.jsonl), "\n")

@@ -168,10 +168,10 @@ func TestChaosReachesEveryPollEndpoint(t *testing.T) {
 		cfg.Faults = &prof
 		f := newCached(cfg)
 		var st *observedStream
-		f.streamWrap = func(s world.URLStream) world.URLStream {
+		f.wrapWorld = wrapStream(func(s world.URLStream) world.URLStream {
 			st = &observedStream{inner: s, f: f, fired: map[string]int{}}
 			return st
-		}
+		})
 		if _, err := f.Run(); err != nil {
 			t.Fatalf("%s: %v", backend, err)
 		}
@@ -390,10 +390,10 @@ func TestChaosReachesSnapshotSource(t *testing.T) {
 		cfg.Faults = &prof
 		f := newCached(cfg)
 		var wf *webFaults
-		f.streamWrap = func(s world.URLStream) world.URLStream {
+		f.wrapWorld = wrapStream(func(s world.URLStream) world.URLStream {
 			wf = &webFaults{inner: s, f: f, kinds: map[string]int{}}
 			return wf
-		}
+		})
 		study, err := f.Run()
 		if err != nil {
 			t.Fatalf("%s backend: %v", backend, err)

@@ -135,15 +135,15 @@ func (f *FreePhish) fingerprint() string {
 
 // specFingerprint is the version followed by the canonical JSON of sp
 // with the deployment-only fields zeroed: the study is byte-identical
-// across Workers, QueueDepth, SnapshotCacheSize, Backend, JournalRing and
-// the checkpoint stride, so a checkpoint cut on one backend or worker
-// count resumes on another. Every other field shapes the study's draws,
-// schedule, or output bytes. A shard's checkpoint captures one residue
-// class of the posting schedule, so the shard position stays in: adopting
-// it into a different position (or an unsharded run) would drop or
-// duplicate sub-streams.
+// across Workers, QueueDepth, Backend, JournalRing and the checkpoint
+// stride, so a checkpoint cut on one backend or worker count resumes on
+// another. Every other field shapes the study's draws, schedule, or
+// output bytes. A shard's checkpoint captures one residue class of the
+// posting schedule, so the shard position stays in: adopting it into a
+// different position (or an unsharded run) would drop or duplicate
+// sub-streams.
 func specFingerprint(sp state.ShardSpec) string {
-	sp.Workers, sp.QueueDepth, sp.SnapshotCacheSize = 0, 0, 0
+	sp.Workers, sp.QueueDepth = 0, 0
 	sp.Backend, sp.JournalRing, sp.CheckpointEvery, sp.Fingerprint = "", 0, 0, ""
 	sp.Epoch = sp.Epoch.UTC()
 	b, err := json.Marshal(sp)

@@ -25,6 +25,7 @@ import (
 	"freephish/internal/crawler"
 	"freephish/internal/faults"
 	"freephish/internal/features"
+	"freephish/internal/htmlx"
 	"freephish/internal/obs"
 	"freephish/internal/pipe"
 	"freephish/internal/retry"
@@ -101,9 +102,6 @@ type Config struct {
 	// the stream instead of buffering it. 0 means pipe.DefaultDepth. Like
 	// Workers, the study is bit-identical at every setting.
 	QueueDepth int
-	// SnapshotCacheSize bounds the crawler's parsed-snapshot LRU; 0 means
-	// crawler.DefaultSnapshotCacheSize, negative disables the cache.
-	SnapshotCacheSize int
 	// Backend selects how the pipeline reaches the world: BackendInproc
 	// (the default; handler dispatch, zero sockets) or BackendHTTP (real
 	// loopback servers for the web, the platform APIs, the blocklist
@@ -242,11 +240,10 @@ type FreePhish struct {
 	// of ground-truth labels (via the oracle port).
 	eval *evaluator
 
-	fetcher   *crawler.Fetcher
-	poller    *crawler.Poller
-	snapCache *crawler.SnapshotCache
-	servers   []*webServer
-	runStart  time.Time
+	fetcher  *crawler.Fetcher
+	poller   *crawler.Poller
+	servers  []*webServer
+	runStart time.Time
 	// retryPol is the run's unified retry policy; every world-facing call
 	// (poller, fetcher, adapters) shares it, so backoff and breaker state
 	// are observed in one place.
@@ -256,9 +253,9 @@ type FreePhish struct {
 	injector *faults.Injector
 	// listen is the server bind hook; tests inject failures through it.
 	listen listenFunc
-	// streamWrap, when set, decorates the URL stream after backend wiring;
-	// tests inject poll failures through it.
-	streamWrap func(world.URLStream) world.URLStream
+	// wrapWorld, when set, decorates the world ports after backend wiring;
+	// tests inject poll failures and observe port traffic through it.
+	wrapWorld func(world.World) world.World
 	// cascade pairs Lexical with Config.Cascade's thresholds (nil when the
 	// cascade is off); Run builds it. Read-only — stage workers share it.
 	cascade *baselines.Cascade
@@ -593,12 +590,14 @@ func (f *FreePhish) fetchURL(su crawler.StreamedURL) *probeResult {
 }
 
 // fetchProbe is the pipeline's fetch stage: snapshot the page over the
-// snapshot port — unless the triage tier already resolved the URL, in
-// which case the probe passes through untouched and the fetch is counted
-// as avoided. It must not mutate framework state — it runs concurrently
-// with other fetches — so it only touches the (thread-safe) snapshot port
-// and atomic metrics. A failed snapshot is carried in probeResult.err for
-// the ordered apply phase to surface; it never aborts sibling items early.
+// snapshot port and parse a 200 body — unless the triage tier already
+// resolved the URL, in which case the probe passes through untouched and
+// the fetch is counted as avoided. That parse is the page's only one:
+// classify, the admission signature and the profile all read page.Doc.
+// It must not mutate framework state — it runs concurrently with other
+// fetches — so it only touches the (thread-safe) snapshot port and atomic
+// metrics. A failed snapshot is carried in probeResult.err for the
+// ordered apply phase to surface; it never aborts sibling items early.
 func (f *FreePhish) fetchProbe(p *probeResult) *probeResult {
 	if p.tier != baselines.TierFull {
 		f.Metrics.CascadeFetchesAvoided.Inc()
@@ -606,6 +605,9 @@ func (f *FreePhish) fetchProbe(p *probeResult) *probeResult {
 	}
 	fsp := f.Metrics.Tracer.Start("fetch")
 	page, status, err := f.world.Snap.Snapshot(p.su.URL)
+	if err == nil && status == 200 && page.Doc == nil {
+		page.Doc = htmlx.Parse(page.HTML)
+	}
 	fsp.EndErr(err)
 	if err != nil {
 		p.err = fmt.Errorf("core: snapshot %q: %w", p.su.URL, err)

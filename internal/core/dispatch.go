@@ -336,30 +336,29 @@ func (r *SpecRunner) trained(key trainKey, workers int) (*trainedModels, error) 
 // specFingerprint derives the study fingerprint from it.
 func studySpec(cfg Config) state.ShardSpec {
 	sp := state.ShardSpec{
-		Seed:              cfg.Seed,
-		Epoch:             cfg.Epoch,
-		Duration:          cfg.Duration,
-		FWBTwitter:        cfg.FWBTwitter,
-		FWBFacebook:       cfg.FWBFacebook,
-		SelfTwitter:       cfg.SelfTwitter,
-		SelfFacebook:      cfg.SelfFacebook,
-		BenignPerPhish:    cfg.BenignPerPhish,
-		Scale:             cfg.Scale,
-		PollInterval:      cfg.PollInterval,
-		TrainPerClass:     cfg.TrainPerClass,
-		GrowthExponent:    cfg.GrowthExponent,
-		MonitorInterval:   cfg.MonitorInterval,
-		ReshareRate:       cfg.ReshareRate,
-		PollQuota:         cfg.PollQuota,
-		PollQuotaRate:     cfg.PollQuotaRate,
-		Workers:           cfg.Workers,
-		QueueDepth:        cfg.QueueDepth,
-		SnapshotCacheSize: cfg.SnapshotCacheSize,
-		Backend:           cfg.Backend,
-		Faults:            cfg.Faults,
-		Journal:           cfg.Journal,
-		JournalRing:       cfg.JournalRing,
-		CheckpointEvery:   cfg.CheckpointEvery,
+		Seed:            cfg.Seed,
+		Epoch:           cfg.Epoch,
+		Duration:        cfg.Duration,
+		FWBTwitter:      cfg.FWBTwitter,
+		FWBFacebook:     cfg.FWBFacebook,
+		SelfTwitter:     cfg.SelfTwitter,
+		SelfFacebook:    cfg.SelfFacebook,
+		BenignPerPhish:  cfg.BenignPerPhish,
+		Scale:           cfg.Scale,
+		PollInterval:    cfg.PollInterval,
+		TrainPerClass:   cfg.TrainPerClass,
+		GrowthExponent:  cfg.GrowthExponent,
+		MonitorInterval: cfg.MonitorInterval,
+		ReshareRate:     cfg.ReshareRate,
+		PollQuota:       cfg.PollQuota,
+		PollQuotaRate:   cfg.PollQuotaRate,
+		Workers:         cfg.Workers,
+		QueueDepth:      cfg.QueueDepth,
+		Backend:         cfg.Backend,
+		Faults:          cfg.Faults,
+		Journal:         cfg.Journal,
+		JournalRing:     cfg.JournalRing,
+		CheckpointEvery: cfg.CheckpointEvery,
 	}
 	if cfg.Cascade != nil {
 		sp.CascadeOn = true
@@ -375,31 +374,30 @@ func studySpec(cfg Config) state.ShardSpec {
 // the coordinator or worker daemon owns registry and logging.
 func configFromSpec(sp state.ShardSpec) Config {
 	cfg := Config{
-		Seed:              sp.Seed,
-		Epoch:             sp.Epoch,
-		Duration:          sp.Duration,
-		FWBTwitter:        sp.FWBTwitter,
-		FWBFacebook:       sp.FWBFacebook,
-		SelfTwitter:       sp.SelfTwitter,
-		SelfFacebook:      sp.SelfFacebook,
-		BenignPerPhish:    sp.BenignPerPhish,
-		Scale:             sp.Scale,
-		PollInterval:      sp.PollInterval,
-		TrainPerClass:     sp.TrainPerClass,
-		GrowthExponent:    sp.GrowthExponent,
-		MonitorInterval:   sp.MonitorInterval,
-		ReshareRate:       sp.ReshareRate,
-		PollQuota:         sp.PollQuota,
-		PollQuotaRate:     sp.PollQuotaRate,
-		Workers:           sp.Workers,
-		QueueDepth:        sp.QueueDepth,
-		SnapshotCacheSize: sp.SnapshotCacheSize,
-		Backend:           sp.Backend,
-		Faults:            sp.Faults,
-		Journal:           sp.Journal,
-		JournalRing:       sp.JournalRing,
-		Shards:            1,
-		CheckpointEvery:   sp.CheckpointEvery,
+		Seed:            sp.Seed,
+		Epoch:           sp.Epoch,
+		Duration:        sp.Duration,
+		FWBTwitter:      sp.FWBTwitter,
+		FWBFacebook:     sp.FWBFacebook,
+		SelfTwitter:     sp.SelfTwitter,
+		SelfFacebook:    sp.SelfFacebook,
+		BenignPerPhish:  sp.BenignPerPhish,
+		Scale:           sp.Scale,
+		PollInterval:    sp.PollInterval,
+		TrainPerClass:   sp.TrainPerClass,
+		GrowthExponent:  sp.GrowthExponent,
+		MonitorInterval: sp.MonitorInterval,
+		ReshareRate:     sp.ReshareRate,
+		PollQuota:       sp.PollQuota,
+		PollQuotaRate:   sp.PollQuotaRate,
+		Workers:         sp.Workers,
+		QueueDepth:      sp.QueueDepth,
+		Backend:         sp.Backend,
+		Faults:          sp.Faults,
+		Journal:         sp.Journal,
+		JournalRing:     sp.JournalRing,
+		Shards:          1,
+		CheckpointEvery: sp.CheckpointEvery,
 	}
 	if cfg.Backend == "" {
 		cfg.Backend = BackendInproc

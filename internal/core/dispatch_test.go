@@ -121,9 +121,9 @@ func TestShardAdoptionByteIdentical(t *testing.T) {
 		switch attempt {
 		case 0:
 			// Dies at poll 1200 — after the checkpoints at cycles 500 and 1000.
-			child.streamWrap = func(s world.URLStream) world.URLStream {
+			child.wrapWorld = wrapStream(func(s world.URLStream) world.URLStream {
 				return &failingStream{inner: s, failAt: 1200, err: errors.New("injected mid-run shard failure")}
-			}
+			})
 		case 1:
 			resumed = child.Config.Resume
 		}

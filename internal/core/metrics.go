@@ -182,9 +182,9 @@ func newMetrics(reg *obs.Registry, simNow func() time.Time, epoch time.Time) *Me
 }
 
 // wireMetrics connects the constructed pipeline components (fetcher,
-// poller, retry policy, chaos injector, snapshot cache) to the
-// instruments. Called from startServers once the components exist; the
-// classify stage times extraction and inference itself.
+// poller, retry policy, chaos injector) to the instruments. Called from
+// startServers once the components exist; the classify stage times
+// extraction and inference itself.
 func (f *FreePhish) wireMetrics() {
 	m := f.Metrics
 	f.fetcher.Observe = func(status, attempts int, wall time.Duration, err error) {
@@ -245,21 +245,6 @@ func (f *FreePhish) wireMetrics() {
 					"kind", kind, "endpoint", endpoint, "key", key)
 			}
 		}
-	}
-	if f.snapCache != nil {
-		c := f.snapCache
-		f.Metrics.Registry.GaugeFunc("freephish_snapshot_cache_hits_total",
-			"Snapshot probes that reused a cached parse (unchanged body).", func() float64 {
-				return float64(c.Hits())
-			})
-		f.Metrics.Registry.GaugeFunc("freephish_snapshot_cache_misses_total",
-			"Snapshot probes that parsed a new or changed body.", func() float64 {
-				return float64(c.Misses())
-			})
-		f.Metrics.Registry.GaugeFunc("freephish_snapshot_cache_entries",
-			"Parsed snapshots currently resident in the LRU.", func() float64 {
-				return float64(c.Len())
-			})
 	}
 	if f.poller.Limiter != nil {
 		lim := f.poller.Limiter

@@ -150,13 +150,9 @@ func (f *FreePhish) startInproc() error {
 	}
 	f.fetcher.Source = world.Snapshots(f.Sim.Host, webGet)
 	f.poller.Pages = world.Pages(f.Sim.Networks, portFault)
-	f.world = world.WithJournal(
+	f.bindWorld(world.WithJournal(
 		world.WithRetry(world.WithFaults(world.Inproc(f.Sim), portFault), f.retryPol),
-		f.Metrics.Journal)
-	f.world.Stream = f.wrapStream(f.poller)
-	f.world.Snap = f.fetcher
-	f.eval = &evaluator{oracle: f.world.Oracle, state: f.State, metrics: f.Metrics}
-	f.wireMetrics()
+		f.Metrics.Journal))
 	return nil
 }
 
@@ -194,38 +190,35 @@ func (f *FreePhish) startHTTP() error {
 		}
 	}
 	f.wirePipeline(hostSrv.base, endpoints)
-	f.world = world.WithJournal(world.OverHTTP(world.Endpoints{
+	f.bindWorld(world.WithJournal(world.OverHTTP(world.Endpoints{
 		API:       apiSrv.base,
 		Platforms: endpoints,
 		Feeds:     feedBases,
 		Retry:     f.retryPol,
-	}), f.Metrics.Journal)
-	f.world.Stream = f.wrapStream(f.poller)
-	f.world.Snap = f.fetcher
-	f.eval = &evaluator{oracle: f.world.Oracle, state: f.State, metrics: f.Metrics}
-	f.wireMetrics()
+	}), f.Metrics.Journal))
 	return nil
 }
 
-// wrapStream applies the test seam to the backend-wired URL stream.
-func (f *FreePhish) wrapStream(s world.URLStream) world.URLStream {
-	if f.streamWrap != nil {
-		return f.streamWrap(s)
+// bindWorld completes either backend's wiring: the crawler serves the
+// stream and snapshot ports, the wrapWorld test seam decorates the port
+// set, and the evaluator and metrics attach to the result.
+func (f *FreePhish) bindWorld(w world.World) {
+	w.Stream, w.Snap = f.poller, f.fetcher
+	if f.wrapWorld != nil {
+		w = f.wrapWorld(w)
 	}
-	return s
+	f.world = w
+	f.eval = &evaluator{oracle: w.Oracle, state: f.State, metrics: f.Metrics}
+	f.wireMetrics()
 }
 
 // wirePipeline builds the fetcher and poller against the given web base
 // and platform endpoints — identical construction for both backends, so
-// retries, caching, and pagination behave the same way everywhere. Each
+// retries and pagination behave the same way everywhere. Each
 // component keeps its own timeout-bearing client.
 func (f *FreePhish) wirePipeline(webBase string, endpoints map[threat.Platform]string) {
 	f.fetcher = crawler.NewFetcher(webBase)
 	f.fetcher.Retry = f.retryPol
-	if f.Config.SnapshotCacheSize >= 0 {
-		f.snapCache = crawler.NewSnapshotCache(f.Config.SnapshotCacheSize)
-		f.fetcher.Cache = f.snapCache
-	}
 	f.poller = crawler.NewPoller(endpoints, nil, f.Config.Epoch)
 	f.poller.Retry = f.retryPol
 	if f.Config.PollQuota > 0 {

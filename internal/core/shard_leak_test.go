@@ -76,9 +76,9 @@ func TestShardRetryDoesNotLeak(t *testing.T) {
 			return
 		}
 		failures++
-		child.streamWrap = func(s world.URLStream) world.URLStream {
+		child.wrapWorld = wrapStream(func(s world.URLStream) world.URLStream {
 			return &failingStream{inner: s, failAt: 20, err: errors.New("injected mid-run shard failure")}
-		}
+		})
 	}
 	// The coordinator's live journal receives the retry ops events; hold it
 	// before Run because the merge replaces Metrics.Journal at the end.

@@ -228,9 +228,9 @@ func TestShardAuditFailureFailsAttempt(t *testing.T) {
 	f := newCached(cfg)
 	f.shardPrep = func(child *FreePhish, shard, _ int) {
 		if shard == 1 {
-			child.streamWrap = func(s world.URLStream) world.URLStream {
+			child.wrapWorld = wrapStream(func(s world.URLStream) world.URLStream {
 				return backdatedStream{inner: s, epoch: child.Config.Epoch}
-			}
+			})
 		}
 	}
 	_, err := f.Run()

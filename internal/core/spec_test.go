@@ -1,11 +1,19 @@
 package core
 
 import (
+	"bytes"
+	"context"
+	"encoding/json"
+	"io"
+	"net/http"
+	"net/http/httptest"
 	"reflect"
 	"strings"
 	"testing"
 	"time"
 
+	"freephish/internal/shard"
+	"freephish/internal/shardrpc"
 	"freephish/internal/state"
 )
 
@@ -33,13 +41,12 @@ var deploymentOnly = map[string]bool{
 // fingerprintExempt lists the spec fields the study is byte-identical
 // across, which the fingerprint therefore zeroes.
 var fingerprintExempt = map[string]bool{
-	"Workers":           true,
-	"QueueDepth":        true,
-	"SnapshotCacheSize": true,
-	"Backend":           true,
-	"JournalRing":       true,
-	"CheckpointEvery":   true,
-	"Fingerprint":       true,
+	"Workers":         true,
+	"QueueDepth":      true,
+	"Backend":         true,
+	"JournalRing":     true,
+	"CheckpointEvery": true,
+	"Fingerprint":     true,
 }
 
 // setNonZero gives v a non-zero value, filling pointed-to structs field by
@@ -133,5 +140,86 @@ func TestSpecFingerprintFields(t *testing.T) {
 		case !fingerprintExempt[name] && !changed:
 			t.Errorf("ShardSpec.%s does not change the fingerprint: a checkpoint would resume across it", name)
 		}
+	}
+}
+
+// legacySpecTransport rewrites each dispatched spec as a coordinator did
+// while ShardSpec still carried snapshot_cache_size: with that key set.
+type legacySpecTransport struct{ inner http.RoundTripper }
+
+func (lt legacySpecTransport) RoundTrip(req *http.Request) (*http.Response, error) {
+	body, err := io.ReadAll(req.Body)
+	if err != nil {
+		return nil, err
+	}
+	body = withRetiredCacheKey(body)
+	req = req.Clone(req.Context())
+	req.Body, req.ContentLength = io.NopCloser(bytes.NewReader(body)), int64(len(body))
+	return lt.inner.RoundTrip(req)
+}
+
+func withRetiredCacheKey(spec []byte) []byte {
+	return append([]byte(`{"snapshot_cache_size":2048,`), bytes.TrimPrefix(spec, []byte("{"))...)
+}
+
+// TestRetiredSnapshotCacheSizeDecodes pins compatibility with specs and
+// adoption checkpoints written while ShardSpec still carried
+// snapshot_cache_size: the key is ignored on decode, the fingerprint is
+// the one a spec without it gets, and a worker runs the spec — from
+// ordinal zero and resumed from one of its own cuts — to one snapshot.
+func TestRetiredSnapshotCacheSizeDecodes(t *testing.T) {
+	cfg := resumeSweepConfig(1, BackendInproc)
+	cfg.Duration = 4 * 24 * time.Hour
+	cfg.MonitorInterval, cfg.Faults, cfg.Journal = 0, nil, false
+	cfg.CheckpointEvery = 1
+	sp := studySpec(cfg)
+	sp.Shards = 1
+	sp.Fingerprint = specFingerprint(sp)
+
+	b, err := json.Marshal(sp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var decoded state.ShardSpec
+	if err := json.Unmarshal(withRetiredCacheKey(b), &decoded); err != nil {
+		t.Fatalf("legacy spec does not decode: %v", err)
+	}
+	if !reflect.DeepEqual(decoded, sp) {
+		t.Fatalf("legacy spec decodes to %+v, want %+v", decoded, sp)
+	}
+	if got := specFingerprint(decoded); got != sp.Fingerprint {
+		t.Fatalf("legacy spec fingerprint:\n  got  %s\n  want %s", got, sp.Fingerprint)
+	}
+
+	// Through the worker's wire stack, which refuses a spec whose
+	// fingerprint its rebuilt configuration does not reproduce.
+	srv := httptest.NewServer(&shardrpc.Server{Runner: newTestRunner()})
+	defer srv.Close()
+	client := shardrpc.NewClient(srv.URL)
+	client.HTTPClient.Transport = legacySpecTransport{inner: client.HTTPClient.Transport}
+	var cuts [][]byte
+	full, err := client.Run(context.Background(), shard.Spec{ShardSpec: sp}, func(data []byte) error {
+		cuts = append(cuts, data)
+		return nil
+	})
+	if err != nil {
+		t.Fatalf("legacy spec: %v", err)
+	}
+	if len(cuts) < 2 || len(full.Records) == 0 {
+		t.Fatalf("legacy spec cut %d checkpoints and admitted %d records; the test is vacuous", len(cuts), len(full.Records))
+	}
+	resumed, err := client.Run(context.Background(), shard.Spec{ShardSpec: sp, Resume: cuts[len(cuts)/2]}, nil)
+	if err != nil {
+		t.Fatalf("legacy adoption spec: %v", err)
+	}
+	a, err := state.EncodeSnapshotWire(full)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if b, err = state.EncodeSnapshotWire(resumed); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(a, b) {
+		t.Fatal("the legacy adoption spec resumed to a different snapshot")
 	}
 }

@@ -13,8 +13,16 @@ import (
 	"freephish/internal/world"
 )
 
+// wrapStream adapts a URL-stream decorator to the wrapWorld seam.
+func wrapStream(wrap func(world.URLStream) world.URLStream) func(world.World) world.World {
+	return func(w world.World) world.World {
+		w.Stream = wrap(w.Stream)
+		return w
+	}
+}
+
 // failingStream wraps the real URL stream and fails one designated poll —
-// the seam TestRunEndsImmediatelyOnPollError injects through streamWrap.
+// the seam TestRunEndsImmediatelyOnPollError injects through wrapWorld.
 type failingStream struct {
 	inner  world.URLStream
 	polls  int
@@ -43,10 +51,10 @@ func TestRunEndsImmediatelyOnPollError(t *testing.T) {
 	const failAt = 5
 	fs := &failingStream{failAt: failAt, err: errors.New("injected poll failure")}
 	f := newCached(cfg)
-	f.streamWrap = func(s world.URLStream) world.URLStream {
+	f.wrapWorld = wrapStream(func(s world.URLStream) world.URLStream {
 		fs.inner = s
 		return fs
-	}
+	})
 	_, err := f.Run()
 	if err == nil || !strings.Contains(err.Error(), "injected poll failure") {
 		t.Fatalf("Run = %v, want the injected poll failure", err)
@@ -167,10 +175,10 @@ func TestEmptyCycleBuildsNoPipe(t *testing.T) {
 	cfg.Registry = obs.NewRegistry()
 	ss := &silentStream{}
 	f := newCached(cfg)
-	f.streamWrap = func(s world.URLStream) world.URLStream {
+	f.wrapWorld = wrapStream(func(s world.URLStream) world.URLStream {
 		ss.inner = s
 		return ss
-	}
+	})
 	if _, err := f.Run(); err != nil {
 		t.Fatal(err)
 	}

@@ -11,14 +11,14 @@ import (
 )
 
 // SnapshotCache is a bounded LRU of parsed page snapshots, keyed by URL and
-// validated by a content hash of the body. Its job is to make re-probes
-// cheap: the §4.4 active monitor re-fetches every flagged URL on a cadence
-// and the proxy re-checks pages users revisit, and without the cache each
-// of those probes re-parses a byte-identical body. A hit returns the
-// previously parsed DOM; a changed body (different hash) replaces the
-// entry. The cache never suppresses the HTTP fetch itself — takedown
-// detection requires observing the live status — it only removes the
-// redundant parse behind it.
+// validated by a content hash of the body. It serves freephish-proxy,
+// which re-checks the pages users revisit: without the cache each repeat
+// visit re-parses a byte-identical body. A hit returns the previously
+// parsed DOM; a changed body (different hash) replaces the entry. The
+// cache never suppresses the HTTP fetch itself — a verdict must see the
+// live page — it only removes the redundant parse behind it. Studies do
+// not use it: their fetch stage parses each page once, and the §4.4
+// monitor's re-probes read only the status.
 //
 // SnapshotCache is safe for concurrent use by the pipeline's probe workers.
 type SnapshotCache struct {

@@ -350,9 +350,10 @@ type Fetcher struct {
 	// if every attempt failed. Must be cheap; it runs per fetched URL.
 	Observe func(status, attempts int, wall time.Duration, err error)
 	// Cache, when set, resolves 200 responses through the snapshot LRU so
-	// byte-identical re-probes of a URL (monitor re-checks, proxy repeat
-	// visits) reuse one parsed DOM instead of re-parsing per probe. The
-	// fetch itself always happens — only the parse is deduplicated.
+	// byte-identical re-probes of a URL (the proxy's repeat visits) reuse
+	// one parsed DOM, and the returned page carries it in Doc. The fetch
+	// itself always happens — only the parse is deduplicated. Without a
+	// Cache, Snapshot neither parses nor hashes the body and Doc is nil.
 	Cache *SnapshotCache
 }
 

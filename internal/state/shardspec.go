@@ -18,10 +18,11 @@ import (
 // fails loudly instead of silently computing a different study.
 //
 // Deliberately included despite being fingerprint-irrelevant: Backend,
-// Workers, QueueDepth, and SnapshotCacheSize, so a remote worker runs the
-// same deployment shape the operator asked for (the study is byte-identical
-// across all of them — the worker may override Workers for its own
-// hardware).
+// Workers, and QueueDepth, so a remote worker runs the same deployment
+// shape the operator asked for (the study is byte-identical across all of
+// them — the worker may override Workers for its own hardware). A spec
+// that still carries a retired field, such as the former
+// snapshot_cache_size, decodes: unknown keys are ignored.
 type ShardSpec struct {
 	Seed     int64         `json:"seed"`
 	Epoch    time.Time     `json:"epoch"`
@@ -42,10 +43,9 @@ type ShardSpec struct {
 	PollQuota       int           `json:"poll_quota,omitempty"`
 	PollQuotaRate   float64       `json:"poll_quota_rate,omitempty"`
 
-	Workers           int    `json:"workers,omitempty"`
-	QueueDepth        int    `json:"queue_depth,omitempty"`
-	SnapshotCacheSize int    `json:"snapshot_cache_size,omitempty"`
-	Backend           string `json:"backend,omitempty"`
+	Workers    int    `json:"workers,omitempty"`
+	QueueDepth int    `json:"queue_depth,omitempty"`
+	Backend    string `json:"backend,omitempty"`
 
 	// Faults is the chaos profile, nil when chaos is off. It serializes by
 	// value: every probability and window the injector keys its decisions
