@@ -3,6 +3,7 @@ package simclock
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"sync"
 )
 
@@ -55,6 +56,42 @@ func (g *RNG) Intn(n int) int {
 	g.mu.Lock()
 	defer g.mu.Unlock()
 	return g.r.Intn(n)
+}
+
+// AppendToken appends n bytes drawn uniformly from alphabet to dst and
+// returns the extended slice. It makes exactly the draws of n calls of
+// alphabet[Intn(len(alphabet))], under one lock: it replays math/rand's
+// Intn on the source, the power-of-two mask and Int31n's rejection loop
+// included. It panics if alphabet is empty, as Intn(0) does, or if n < 0.
+func (g *RNG) AppendToken(dst []byte, alphabet string, n int) []byte {
+	if len(alphabet) == 0 || len(alphabet) > math.MaxInt32 {
+		panic("simclock: AppendToken needs an alphabet of 1 to 2³¹−1 bytes")
+	}
+	m := int32(len(alphabet))
+	dst = slices.Grow(dst, n)
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	if m&(m-1) == 0 {
+		for range n {
+			dst = append(dst, alphabet[int32(g.src.Int63()>>32)&(m-1)])
+		}
+		return dst
+	}
+	limit := int32((1 << 31) - 1 - (1<<31)%uint32(m))
+	for range n {
+		v := int32(g.src.Int63() >> 32)
+		for v > limit {
+			v = int32(g.src.Int63() >> 32)
+		}
+		dst = append(dst, alphabet[v%m])
+	}
+	return dst
+}
+
+// Token returns n bytes drawn from alphabet as AppendToken draws them.
+func (g *RNG) Token(alphabet string, n int) string {
+	var buf [64]byte
+	return string(g.AppendToken(buf[:0], alphabet, n))
 }
 
 // Int63 returns a non-negative uniform 63-bit integer.

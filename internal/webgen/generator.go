@@ -1,8 +1,9 @@
 package webgen
 
 import (
-	"fmt"
+	"strconv"
 	"strings"
+	"sync"
 	"time"
 
 	"freephish/internal/brands"
@@ -98,8 +99,14 @@ func (g *Generator) Derive(stream, tag string) *Generator {
 // and so can never collide with them, and two derivations' suffixes differ
 // in their tag before the first local digit.
 func (g *Generator) seqTag() string {
+	var buf [32]byte
+	return string(g.appendSeqTag(buf[:0]))
+}
+
+// appendSeqTag appends the next name suffix (see seqTag) to dst.
+func (g *Generator) appendSeqTag(dst []byte) []byte {
 	g.seq++
-	return g.tag + fmt.Sprintf("%d", g.seq)
+	return strconv.AppendInt(append(dst, g.tag...), int64(g.seq), 10)
 }
 
 // RegisterInfrastructure records the 17 FWB hosting domains in WHOIS with
@@ -129,52 +136,25 @@ func registrableOf(domain string) string {
 }
 
 func (g *Generator) slug(words int) string {
-	var parts []string
+	var buf [96]byte
+	b := buf[:0]
 	for i := 0; i < words; i++ {
-		parts = append(parts, slugWords[g.rng.Intn(len(slugWords))])
+		if i > 0 {
+			b = append(b, '-')
+		}
+		b = append(b, slugWords[g.rng.Intn(len(slugWords))]...)
 	}
-	return fmt.Sprintf("%s-%s", strings.Join(parts, "-"), g.seqTag())
+	b = append(b, '-')
+	return string(g.appendSeqTag(b))
 }
 
-func (g *Generator) randToken(n int) string {
-	const alnum = "abcdefghijklmnopqrstuvwxyz0123456789"
-	b := make([]byte, n)
-	for i := range b {
-		b[i] = alnum[g.rng.Intn(len(alnum))]
-	}
-	return string(b)
-}
+// alnum is the alphabet of every generated token.
+const alnum = "abcdefghijklmnopqrstuvwxyz0123456789"
 
-// vAttrs builds the attribute block for a content element. The fixed part
-// (the service's template class) is identical across all sites on the FWB;
-// the variable part is per-site random data sized so that
-// fixed/(fixed+variable) ≈ richness. Because the Appendix A similarity is a
-// median over per-tag best Levenshtein matches, this makes the measured
-// phishing↔benign similarity track TemplateRichness — the mechanism behind
-// Table 1's per-service medians. For self-hosted sites (svc == nil) both
-// class and data are random, so cross-site similarity stays low.
-func (g *Generator) vAttrs(svc *fwb.Service, role string) string {
-	if svc == nil {
-		return fmt.Sprintf(` class="x%s" data-sid="%s"`, g.randToken(7), g.randToken(28))
-	}
-	cls := svc.TemplateClass + "-" + role
-	fixed := fmt.Sprintf(` class=%q`, cls)
-	fixedLen := float64(len(fixed) + 14) // element name + data-sid scaffolding counts as fixed
-	total := fixedLen / svc.TemplateRichness
-	varLen := int(total - fixedLen)
-	if varLen < 4 {
-		varLen = 4
-	}
-	if varLen > 96 {
-		varLen = 96
-	}
-	return fmt.Sprintf(`%s data-sid="%s"`, fixed, g.randToken(varLen))
-}
-
-// tagOpen builds a start tag with richness-controlled variance.
-func (g *Generator) tagOpen(elem, class string, richness float64) string {
-	fixed := fmt.Sprintf(`<%s class=%q`, elem, class)
-	fixedLen := float64(len(fixed) + 1)
+// sidLen sizes the per-site random part of a template element's attributes
+// so that fixed/(fixed+variable) ≈ richness, clamped to [4, 96] bytes.
+func sidLen(fixed int, richness float64) int {
+	fixedLen := float64(fixed)
 	total := fixedLen / richness
 	varLen := int(total - fixedLen)
 	if varLen < 4 {
@@ -183,7 +163,90 @@ func (g *Generator) tagOpen(elem, class string, richness float64) string {
 	if varLen > 96 {
 		varLen = 96
 	}
-	return fmt.Sprintf(`%s data-sid="%s">`, fixed, g.randToken(varLen))
+	return varLen
+}
+
+// markup is a page, or a section of one, under construction. Fixed text
+// and drawn tokens are appended straight into b in the order the draws are
+// made, so building it formats nothing and, once its pooled buffer is warm,
+// allocates nothing; only the finished page is copied out as a string.
+type markup struct {
+	g *Generator
+	p *[]byte // b's pool slot
+	b []byte
+}
+
+// markupPool recycles markup buffers across pages and generators.
+var markupPool = sync.Pool{New: func() any { return new([]byte) }}
+
+func (g *Generator) newMarkup() markup {
+	p := markupPool.Get().(*[]byte)
+	return markup{g: g, p: p, b: (*p)[:0]}
+}
+
+// free returns the buffer to the pool; m.b must not be used after.
+func (m *markup) free() {
+	*m.p = m.b[:0]
+	markupPool.Put(m.p)
+}
+
+// s appends fixed text.
+func (m *markup) s(parts ...string) {
+	for _, p := range parts {
+		m.b = append(m.b, p...)
+	}
+}
+
+// token appends n random alphanumerics.
+func (m *markup) token(n int) {
+	m.b = m.g.rng.AppendToken(m.b, alnum, n)
+}
+
+// open appends the start of a content element, "<"+elem and its vAttrs,
+// leaving the tag open for further attributes.
+func (m *markup) open(elem string, svc *fwb.Service, role string) {
+	m.s("<", elem)
+	m.vAttrs(svc, role)
+}
+
+// vAttrs appends the attribute block for a content element. The fixed part
+// (the service's template class) is identical across all sites on the FWB;
+// the variable part is per-site random data sized so that
+// fixed/(fixed+variable) ≈ richness. Because the Appendix A similarity is a
+// median over per-tag best Levenshtein matches, this makes the measured
+// phishing↔benign similarity track TemplateRichness — the mechanism behind
+// Table 1's per-service medians. For self-hosted sites (svc == nil) both
+// class and data are random, so cross-site similarity stays low.
+func (m *markup) vAttrs(svc *fwb.Service, role string) {
+	if svc == nil {
+		m.s(` class="x`)
+		m.token(7)
+		m.s(`" data-sid="`)
+		m.token(28)
+		m.s(`"`)
+		return
+	}
+	// The fixed part is ` class="<class>-<role>"`; 14 more bytes of element
+	// name and data-sid scaffolding count as fixed too. Template classes and
+	// roles are plain ASCII, so the quotes need no escaping.
+	fixed := len(` class=""`) + len(svc.TemplateClass) + len("-") + len(role)
+	m.s(` class="`, svc.TemplateClass, "-", role, `" data-sid="`)
+	m.token(sidLen(fixed+14, svc.TemplateRichness))
+	m.s(`"`)
+}
+
+// tagOpen appends a start tag with richness-controlled variance; the class
+// is the concatenation of its parts.
+func (m *markup) tagOpen(elem string, richness float64, class ...string) {
+	fixed := len(`< class=""`) + len(elem)
+	m.s("<", elem, ` class="`)
+	for _, c := range class {
+		fixed += len(c)
+		m.s(c)
+	}
+	m.s(`" data-sid="`)
+	m.token(sidLen(fixed+1, richness))
+	m.s(`">`)
 }
 
 // pageOpts controls page assembly.
@@ -192,93 +255,121 @@ type pageOpts struct {
 	noindex     bool
 	hideBanner  bool
 	siteName    string
-	bodyHTML    string // pre-rendered content sections
-	extraHead   string
-	serviceLess bool // self-hosted: no FWB chrome or banner
+	body        []byte // pre-rendered content sections
+	serviceLess bool   // self-hosted: no FWB chrome or banner
 }
 
-// buildPage assembles a full HTML document in the service's template.
+// buildPage assembles a full HTML document in the service's template. The
+// chrome's start tags draw their tokens here, after the body's, though
+// they precede the body in the page.
 func (g *Generator) buildPage(svc *fwb.Service, o pageOpts) string {
-	var b strings.Builder
-	b.WriteString("<!DOCTYPE html>\n<html>\n<head>\n")
-	b.WriteString(`<meta charset="utf-8">` + "\n")
-	fmt.Fprintf(&b, "<title>%s</title>\n", o.title)
+	m := g.newMarkup()
+	defer m.free()
+	m.s("<!DOCTYPE html>\n<html>\n<head>\n", `<meta charset="utf-8">`+"\n", "<title>", o.title, "</title>\n")
 	if o.noindex {
-		b.WriteString(`<meta name="robots" content="noindex, nofollow">` + "\n")
+		m.s(`<meta name="robots" content="noindex, nofollow">` + "\n")
 	}
 	if !o.serviceLess {
 		// Service boilerplate head: identical across all sites on the FWB.
-		fmt.Fprintf(&b, `<meta name="generator" content="%s Site Builder">`+"\n", svc.Name)
-		fmt.Fprintf(&b, `<link rel="stylesheet" href="https://cdn.%s/static/%s-theme.css">`+"\n", svc.Domain, svc.TemplateClass)
-		fmt.Fprintf(&b, `<script src="https://cdn.%s/static/%s-runtime.js"></script>`+"\n", svc.Domain, svc.TemplateClass)
+		m.s(`<meta name="generator" content="`, svc.Name, ` Site Builder">`+"\n")
+		m.s(`<link rel="stylesheet" href="https://cdn.`, svc.Domain, "/static/", svc.TemplateClass, `-theme.css">`+"\n")
+		m.s(`<script src="https://cdn.`, svc.Domain, "/static/", svc.TemplateClass, `-runtime.js"></script>`+"\n")
 	}
-	b.WriteString(o.extraHead)
-	b.WriteString("</head>\n<body>\n")
+	m.s("</head>\n<body>\n")
 	if !o.serviceLess {
 		cls := svc.TemplateClass
-		b.WriteString(g.tagOpen("div", cls+"-page-wrapper", svc.TemplateRichness))
-		b.WriteString("\n")
-		b.WriteString(g.tagOpen("div", cls+"-header-nav", svc.TemplateRichness))
-		fmt.Fprintf(&b, `<span class="%s-site-title">%s</span></div>`+"\n", cls, o.title)
+		m.tagOpen("div", svc.TemplateRichness, cls, "-page-wrapper")
+		m.s("\n")
+		m.tagOpen("div", svc.TemplateRichness, cls, "-header-nav")
+		m.s(`<span class="`, cls, `-site-title">`, o.title, "</span></div>\n")
 	}
-	b.WriteString(o.bodyHTML)
+	m.b = append(m.b, o.body...)
 	if !o.serviceLess {
 		banner := svc.Banner(o.siteName)
-		if o.hideBanner {
+		if i := strings.Index(banner, "<div "); o.hideBanner && i >= 0 {
 			// The §4.2 obfuscation trick: hide the banner div via style.
-			banner = strings.Replace(banner, "<div ", `<div style="visibility:hidden" `, 1)
+			m.s(banner[:i], `<div style="visibility:hidden" `, banner[i+len("<div "):])
+		} else {
+			m.s(banner)
 		}
-		b.WriteString(banner)
-		b.WriteString("\n</div>\n")
+		m.s("\n</div>\n")
 	}
-	b.WriteString("</body>\n</html>\n")
-	return b.String()
+	m.s("</body>\n</html>\n")
+	return string(m.b)
 }
 
-// contentSection renders one text section inside service chrome.
-func (g *Generator) contentSection(svc *fwb.Service, text string) string {
-	return fmt.Sprintf("<div%s>\n<p%s>%s</p></div>\n",
-		g.vAttrs(svc, "section-content"), g.vAttrs(svc, "paragraph"), text)
+// contentSection renders one text section, the concatenation of text,
+// inside service chrome.
+func (m *markup) contentSection(svc *fwb.Service, text ...string) {
+	m.open("div", svc, "section-content")
+	m.s(">\n")
+	m.open("p", svc, "paragraph")
+	m.s(">")
+	m.s(text...)
+	m.s("</p></div>\n")
 }
 
-// navLinks renders the site's internal navigation anchors plus the external
-// links the HTML features count.
-func (g *Generator) navLinks(svc *fwb.Service, base string, links []string, external []string) string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "<div%s>", g.vAttrs(svc, "nav-list"))
+// navLinks renders the site's internal navigation anchors.
+func (m *markup) navLinks(svc *fwb.Service, links []string) {
+	m.open("div", svc, "nav-list")
+	m.s(">")
 	for _, l := range links {
-		fmt.Fprintf(&b, `<a%s href="%s%s">%s</a> `, g.vAttrs(svc, "nav-link"), base, l, strings.TrimPrefix(l, "/"))
+		m.open("a", svc, "nav-link")
+		m.s(` href="`, l, `">`, strings.TrimPrefix(l, "/"), "</a> ")
 	}
-	for _, e := range external {
-		fmt.Fprintf(&b, `<a%s href="%s">%s</a> `, g.vAttrs(svc, "ext-link"), e, e)
+	m.s("</div>\n")
+}
+
+// socialLinks renders the links to the site's social profiles, which the
+// HTML features count as external.
+func (m *markup) socialLinks(svc *fwb.Service, name string) {
+	m.open("div", svc, "nav-list")
+	m.s(">")
+	for _, profile := range []string{"https://www.facebook.com/", "https://www.instagram.com/"} {
+		m.open("a", svc, "ext-link")
+		m.s(` href="`, profile, name, `">`, profile, name, "</a> ")
 	}
-	b.WriteString("</div>\n")
-	return b.String()
+	m.s("</div>\n")
 }
 
 // credentialForm renders a credential-harvesting form for the brand. extra
-// lists additional sensitive fields (ssn, phone, card...).
-func (g *Generator) credentialForm(svc *fwb.Service, br brands.Brand, action string, extra []string) string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "<div%s>", g.vAttrs(svc, "form-container"))
-	vocab := br.LoginVocab[g.rng.Intn(len(br.LoginVocab))]
-	fmt.Fprintf(&b, `<img%s src="https://logo-cdn.example/%s.png" alt="%s"><h2%s>%s</h2>`+"\n",
-		g.vAttrs(svc, "brand-logo"), br.Key, br.Name, g.vAttrs(svc, "form-title"), vocab)
-	fmt.Fprintf(&b, `<form%s method="post" action="%s">`+"\n", g.vAttrs(svc, "form"), action)
-	fmt.Fprintf(&b, `<input%s type="email" name="email" placeholder="Email or phone">`+"\n", g.vAttrs(svc, "field"))
-	fmt.Fprintf(&b, `<input%s type="password" name="password" placeholder="Password">`+"\n", g.vAttrs(svc, "field"))
+// lists additional sensitive fields (ssn, phone, card...), each a
+// lower-case ASCII name.
+func (m *markup) credentialForm(svc *fwb.Service, br brands.Brand, action string, extra []string) {
+	m.open("div", svc, "form-container")
+	m.s(">")
+	vocab := br.LoginVocab[m.g.rng.Intn(len(br.LoginVocab))]
+	m.open("img", svc, "brand-logo")
+	m.s(` src="https://logo-cdn.example/`, br.Key, `.png" alt="`, br.Name, `">`)
+	m.open("h2", svc, "form-title")
+	m.s(">", vocab, "</h2>\n")
+	m.open("form", svc, "form")
+	m.s(` method="post" action="`, action, `">`+"\n")
+	m.open("input", svc, "field")
+	m.s(` type="email" name="email" placeholder="Email or phone">` + "\n")
+	m.open("input", svc, "field")
+	m.s(` type="password" name="password" placeholder="Password">` + "\n")
 	for _, f := range extra {
-		fmt.Fprintf(&b, `<input%s type="text" name=%q placeholder=%q>`+"\n", g.vAttrs(svc, "field"), f, strings.ToUpper(f[:1])+f[1:])
+		m.open("input", svc, "field")
+		m.s(` type="text" name="`, f, `" placeholder="`)
+		m.b = append(m.b, f[0]-'a'+'A')
+		m.s(f[1:], `">`+"\n")
 	}
-	fmt.Fprintf(&b, `<button%s type="submit">Sign In</button></form></div>`+"\n", g.vAttrs(svc, "submit"))
-	return b.String()
+	m.open("button", svc, "submit")
+	m.s(` type="submit">Sign In</button></form></div>` + "\n")
 }
 
 // contactForm renders the benign contact form some legitimate sites carry.
-func (g *Generator) contactForm(svc *fwb.Service) string {
-	return fmt.Sprintf("<div%s>", g.vAttrs(svc, "contact-form")) +
-		fmt.Sprintf(`<form%s method="post" action="/contact">`, g.vAttrs(svc, "form")) +
-		fmt.Sprintf(`<input%s type="text" name="name" placeholder="Your name">`, g.vAttrs(svc, "field")) +
-		fmt.Sprintf(`<input%s type="email" name="email" placeholder="Your email">`, g.vAttrs(svc, "field")) +
-		fmt.Sprintf(`<textarea name="message"></textarea><button%s type="submit">Send</button></form></div>`, g.vAttrs(svc, "submit")) + "\n"
+func (m *markup) contactForm(svc *fwb.Service) {
+	m.open("div", svc, "contact-form")
+	m.s(">")
+	m.open("form", svc, "form")
+	m.s(` method="post" action="/contact">`)
+	m.open("input", svc, "field")
+	m.s(` type="text" name="name" placeholder="Your name">`)
+	m.open("input", svc, "field")
+	m.s(` type="email" name="email" placeholder="Your email">`)
+	m.s(`<textarea name="message"></textarea>`)
+	m.open("button", svc, "submit")
+	m.s(` type="submit">Send</button></form></div>` + "\n")
 }

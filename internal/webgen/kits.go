@@ -1,8 +1,6 @@
 package webgen
 
 import (
-	"fmt"
-	"strings"
 	"time"
 
 	"freephish/internal/brands"
@@ -40,33 +38,44 @@ func (g *Generator) drawKit() kit {
 	return kits[g.rng.Zipf(len(kits), 1.1)]
 }
 
-// kitAttrs is vAttrs with the kit's class prefix: same-kit pages share the
-// fixed part, so their signatures cluster.
-func (g *Generator) kitAttrs(k kit, role string) string {
-	return fmt.Sprintf(` class="%s-%s" data-kid="%s"`, k.class, role, g.randToken(10))
+// kitOpen appends "<"+elem and the kit's attributes: vAttrs with the
+// kit's class prefix, so same-kit pages share the fixed part and their
+// signatures cluster.
+func (m *markup) kitOpen(elem string, k kit, role string) {
+	m.s("<", elem, ` class="`, k.class, "-", role, `" data-kid="`)
+	m.token(10)
+	m.s(`"`)
 }
 
 // kitPage renders a credential page from the kit template.
 func (g *Generator) kitPage(k kit, br brands.Brand) string {
-	var b strings.Builder
-	b.WriteString("<!DOCTYPE html>\n<html>\n<head>\n")
-	b.WriteString(`<meta charset="utf-8">` + "\n")
-	fmt.Fprintf(&b, "<title>%s - Account Verification</title>\n", br.Name)
+	m := g.newMarkup()
+	defer m.free()
+	m.s("<!DOCTYPE html>\n<html>\n<head>\n", `<meta charset="utf-8">`+"\n")
+	m.s("<title>", br.Name, " - Account Verification</title>\n")
 	for _, inc := range k.extra {
-		b.WriteString(inc + "\n")
+		m.s(inc, "\n")
 	}
-	b.WriteString("</head>\n<body>\n")
-	fmt.Fprintf(&b, "<div%s>\n", g.kitAttrs(k, "wrapper"))
-	fmt.Fprintf(&b, `<img%s src="images/%s_logo.png" alt="%s">`+"\n", g.kitAttrs(k, "logo"), br.Key, br.Name)
+	m.s("</head>\n<body>\n")
+	m.kitOpen("div", k, "wrapper")
+	m.s(">\n")
+	m.kitOpen("img", k, "logo")
+	m.s(` src="images/`, br.Key, `_logo.png" alt="`, br.Name, `">`+"\n")
 	vocab := br.LoginVocab[g.rng.Intn(len(br.LoginVocab))]
-	fmt.Fprintf(&b, "<h2%s>%s</h2>\n", g.kitAttrs(k, "title"), vocab)
-	fmt.Fprintf(&b, `<form%s method="post" action="next.php">`+"\n", g.kitAttrs(k, "form"))
-	fmt.Fprintf(&b, `<input%s type="email" name="email" placeholder="Email">`+"\n", g.kitAttrs(k, "field"))
-	fmt.Fprintf(&b, `<input%s type="password" name="password" placeholder="Password">`+"\n", g.kitAttrs(k, "field"))
-	fmt.Fprintf(&b, `<button%s type="submit">Continue</button></form>`+"\n", g.kitAttrs(k, "btn"))
-	fmt.Fprintf(&b, "<div%s><p>Protected by %s security.</p></div>\n", g.kitAttrs(k, "footer"), br.Name)
-	b.WriteString("</div>\n</body>\n</html>\n")
-	return b.String()
+	m.kitOpen("h2", k, "title")
+	m.s(">", vocab, "</h2>\n")
+	m.kitOpen("form", k, "form")
+	m.s(` method="post" action="next.php">` + "\n")
+	m.kitOpen("input", k, "field")
+	m.s(` type="email" name="email" placeholder="Email">` + "\n")
+	m.kitOpen("input", k, "field")
+	m.s(` type="password" name="password" placeholder="Password">` + "\n")
+	m.kitOpen("button", k, "btn")
+	m.s(` type="submit">Continue</button></form>` + "\n")
+	m.kitOpen("div", k, "footer")
+	m.s("><p>Protected by ", br.Name, " security.</p></div>\n")
+	m.s("</div>\n</body>\n</html>\n")
+	return string(m.b)
 }
 
 // SelfHostedKitPhishing generates a self-hosted phishing site built from a
@@ -81,7 +90,7 @@ func (g *Generator) SelfHostedKitPhishing(at time.Time) (*fwb.Site, string) {
 	if hasTLS {
 		scheme = "https"
 	}
-	url := fmt.Sprintf("%s://%s/%s/", scheme, host, g.selfHostedPath(br))
+	url := scheme + "://" + host + "/" + g.selfHostedPath(br) + "/"
 	if g.whois != nil {
 		days := g.rng.ExpFloat64() * 58
 		if days > 400 {

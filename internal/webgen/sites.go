@@ -1,7 +1,6 @@
 package webgen
 
 import (
-	"fmt"
 	"strings"
 	"time"
 
@@ -36,45 +35,48 @@ func (g *Generator) BenignFWBSite(svc *fwb.Service, at time.Time) *fwb.Site {
 	topic := benignTopics[g.rng.Intn(len(benignTopics))]
 	name := g.slug(2)
 	if g.rng.Bool(benignRandomNameRate) {
-		name = g.randToken(7) + g.seqTag()
+		name = g.tokenName(7)
 	}
 	url := svc.SiteURL(name)
 
-	var body strings.Builder
-	body.WriteString(g.navLinks(svc, "", topic.Links, nil))
+	body := g.newMarkup()
+	defer body.free()
+	body.navLinks(svc, topic.Links)
 	nSections := 1 + g.rng.Intn(len(topic.Sections))
 	for _, s := range topic.Sections[:nSections] {
-		body.WriteString(g.contentSection(svc, s))
+		body.contentSection(svc, s)
 	}
 	if g.rng.Bool(0.8) {
-		body.WriteString(g.gallery(svc, 1+g.rng.Intn(benignGalleryMaxImages)))
+		body.gallery(svc, 1+g.rng.Intn(benignGalleryMaxImages))
 	}
 	if g.rng.Bool(benignEmbedRate) {
 		// Legitimate sites embed external media players all the time.
-		fmt.Fprintf(&body, `<iframe src="https://video-embeds.example.com/v/%s" width="560" height="315" title="video"></iframe>`+"\n", g.randToken(8))
+		body.s(`<iframe src="https://video-embeds.example.com/v/`)
+		body.token(8)
+		body.s(`" width="560" height="315" title="video"></iframe>` + "\n")
 	}
 	if g.rng.Bool(benignPopupRate) {
 		// Hidden promo/modal divs are ubiquitous on legitimate sites; they
 		// make a raw hidden-element count useless, unlike the targeted
-		// obfuscated-banner feature.
-		fmt.Fprintf(&body, `<div class="promo-modal" style="display:none"><p>Sign up for 10%%%% off your first order!</p></div>`+"\n")
+		// obfuscated-banner feature. The doubled percent sign is part of
+		// the pinned page bytes.
+		body.s(`<div class="promo-modal" style="display:none"><p>Sign up for 10%% off your first order!</p></div>` + "\n")
 	}
 	if g.rng.Bool(benignExtButtonRate) {
-		fmt.Fprintf(&body, `<a href="https://booking-widget.example.net/%s"><button>Book now</button></a>`+"\n", g.randToken(6))
+		body.s(`<a href="https://booking-widget.example.net/`)
+		body.token(6)
+		body.s(`"><button>Book now</button></a>` + "\n")
 	}
 	// Benign sites frequently link out to social profiles.
-	body.WriteString(g.navLinks(svc, "", nil, []string{
-		"https://www.facebook.com/" + name,
-		"https://www.instagram.com/" + name,
-	}))
+	body.socialLinks(svc, name)
 	if g.rng.Bool(BenignContactFormRate) {
-		body.WriteString(g.contactForm(svc))
+		body.contactForm(svc)
 	}
 	if g.rng.Bool(benignMemberLoginRate) {
-		body.WriteString(g.memberLoginForm(svc))
+		body.memberLoginForm(svc)
 	}
 	if g.rng.Bool(benignNewsletterRate) {
-		body.WriteString(g.newsletterForm(svc))
+		body.newsletterForm(svc)
 	}
 	title := topic.Title
 	if g.rng.Bool(benignTitleBrandRate) {
@@ -84,7 +86,7 @@ func (g *Generator) BenignFWBSite(svc *fwb.Service, at time.Time) *fwb.Site {
 		title:    title,
 		siteName: name,
 		noindex:  g.rng.Bool(benignNoindexRate),
-		bodyHTML: body.String(),
+		body:     body.b,
 	})
 	return &fwb.Site{
 		URL: url, Name: name, Service: svc, HTML: html,
@@ -93,35 +95,47 @@ func (g *Generator) BenignFWBSite(svc *fwb.Service, at time.Time) *fwb.Site {
 }
 
 // gallery renders an image block.
-func (g *Generator) gallery(svc *fwb.Service, n int) string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "<div%s>", g.vAttrs(svc, "gallery"))
+func (m *markup) gallery(svc *fwb.Service, n int) {
+	m.open("div", svc, "gallery")
+	m.s(">")
 	for i := 0; i < n; i++ {
-		fmt.Fprintf(&b, `<img%s src="https://images-cdn.example/%s.jpg" alt="photo">`, g.vAttrs(svc, "photo"), g.randToken(8))
+		m.open("img", svc, "photo")
+		m.s(` src="https://images-cdn.example/`)
+		m.token(8)
+		m.s(`.jpg" alt="photo">`)
 	}
-	b.WriteString("</div>\n")
-	return b.String()
+	m.s("</div>\n")
 }
 
 // memberLoginForm is a legitimate members-area login: email + password,
 // posting to the site itself. It is the main source of benign/phishing
 // feature overlap for form-based detectors.
-func (g *Generator) memberLoginForm(svc *fwb.Service) string {
-	return fmt.Sprintf("<div%s>", g.vAttrs(svc, "members-box")) +
-		fmt.Sprintf(`<h2%s>Members area</h2>`, g.vAttrs(svc, "members-title")) +
-		fmt.Sprintf(`<form%s method="post" action="/members/login">`, g.vAttrs(svc, "form")) +
-		fmt.Sprintf(`<input%s type="email" name="email" placeholder="Email">`, g.vAttrs(svc, "field")) +
-		fmt.Sprintf(`<input%s type="password" name="password" placeholder="Password">`, g.vAttrs(svc, "field")) +
-		fmt.Sprintf(`<button%s type="submit">Log in</button></form></div>`, g.vAttrs(svc, "submit")) + "\n"
+func (m *markup) memberLoginForm(svc *fwb.Service) {
+	m.open("div", svc, "members-box")
+	m.s(">")
+	m.open("h2", svc, "members-title")
+	m.s(`>Members area</h2>`)
+	m.open("form", svc, "form")
+	m.s(` method="post" action="/members/login">`)
+	m.open("input", svc, "field")
+	m.s(` type="email" name="email" placeholder="Email">`)
+	m.open("input", svc, "field")
+	m.s(` type="password" name="password" placeholder="Password">`)
+	m.open("button", svc, "submit")
+	m.s(` type="submit">Log in</button></form></div>` + "\n")
 }
 
 // newsletterForm posts the visitor's email to an external list provider —
 // a benign page with an external form action.
-func (g *Generator) newsletterForm(svc *fwb.Service) string {
-	return fmt.Sprintf("<div%s>", g.vAttrs(svc, "newsletter")) +
-		fmt.Sprintf(`<form%s method="post" action="https://list-manage.example.com/subscribe">`, g.vAttrs(svc, "form")) +
-		fmt.Sprintf(`<input%s type="email" name="email" placeholder="Join our newsletter">`, g.vAttrs(svc, "field")) +
-		fmt.Sprintf(`<button%s type="submit">Subscribe</button></form></div>`, g.vAttrs(svc, "submit")) + "\n"
+func (m *markup) newsletterForm(svc *fwb.Service) {
+	m.open("div", svc, "newsletter")
+	m.s(">")
+	m.open("form", svc, "form")
+	m.s(` method="post" action="https://list-manage.example.com/subscribe">`)
+	m.open("input", svc, "field")
+	m.s(` type="email" name="email" placeholder="Join our newsletter">`)
+	m.open("button", svc, "submit")
+	m.s(` type="submit">Subscribe</button></form></div>` + "\n")
 }
 
 // PhishingFWBSite generates a phishing attack on the given service. The
@@ -154,29 +168,32 @@ func (g *Generator) PhishingFWBSiteOf(svc *fwb.Service, kind fwb.SiteKind, at ti
 	name := g.phishSlug(br)
 	url := svc.SiteURL(name)
 
-	var body strings.Builder
+	// The body's buffer is taken before any second-stage page is generated
+	// below; that page takes its own.
+	body := g.newMarkup()
+	defer body.free()
 	switch kind {
 	case fwb.KindTwoStep:
 		// Landing page with only a button; the real phishing page is on a
 		// different domain (§5.5, Figure 11). No credential fields here.
 		target := g.secondStageURL(br, at)
-		body.WriteString(g.contentSection(svc, fmt.Sprintf("Your %s account requires verification. Click below to continue to the secure portal.", br.Name)))
-		body.WriteString(g.tagOpen("div", buttonClass(svc), richnessOf(svc)))
-		fmt.Fprintf(&body, `<a class="btn-continue" href="%s"><button>Continue to %s</button></a></div>`+"\n", target, br.Name)
+		body.contentSection(svc, "Your ", br.Name, " account requires verification. Click below to continue to the secure portal.")
+		body.tagOpen("div", svc.TemplateRichness, svc.TemplateClass, "-button-wrap")
+		body.s(`<a class="btn-continue" href="`, target, `"><button>Continue to `, br.Name, "</button></a></div>\n")
 	case fwb.KindIFrameEmbed:
 		// Benign-looking content plus a hidden iframe loading the attack
 		// from an external domain (§5.5, Figure 12).
 		topic := benignTopics[g.rng.Intn(len(benignTopics))]
-		body.WriteString(g.contentSection(svc, topic.Sections[0]))
+		body.contentSection(svc, topic.Sections[0])
 		target := g.secondStageURL(br, at)
-		fmt.Fprintf(&body, `<iframe src="%s" width="100%%" height="620" style="border:none" title="content"></iframe>`+"\n", target)
+		body.s(`<iframe src="`, target, `" width="100%" height="620" style="border:none" title="content"></iframe>`+"\n")
 	case fwb.KindDriveByDL:
 		// Malicious download lure hosted on a third-party site (§5.5). No
 		// credential fields; an auto-triggering script starts the download.
 		file := g.malwareFileURL(br)
-		body.WriteString(g.contentSection(svc, fmt.Sprintf("A secure document from %s is ready. Your download will begin automatically.", br.Name)))
-		fmt.Fprintf(&body, `<a id="dl" href="%s" download>Download document</a>`+"\n", file)
-		fmt.Fprintf(&body, `<script>window.onload=function(){document.getElementById("dl").click();}</script>`+"\n")
+		body.contentSection(svc, "A secure document from ", br.Name, " is ready. Your download will begin automatically.")
+		body.s(`<a id="dl" href="`, file, `" download>Download document</a>`+"\n")
+		body.s(`<script>window.onload=function(){document.getElementById("dl").click();}</script>` + "\n")
 	default:
 		// Regular credential phishing: spoofed login form posting to an
 		// attacker-controlled collector (or the FWB's own form handler —
@@ -186,34 +203,34 @@ func (g *Generator) PhishingFWBSiteOf(svc *fwb.Service, kind fwb.SiteKind, at ti
 			action = g.externalPhishURL(br) + "collect"
 		}
 		extra := g.extraFields()
-		body.WriteString(g.credentialForm(svc, br, action, extra))
-		body.WriteString(g.contentSection(svc, "For your security, please confirm your details. This page is protected with SSL encryption."))
+		body.credentialForm(svc, br, action, extra)
+		body.contentSection(svc, "For your security, please confirm your details. This page is protected with SSL encryption.")
 	}
 	// Camouflage: many attacks dress the page with benign template content
 	// to blend in with legitimate sites on the same FWB.
 	if g.rng.Bool(phishingCamouflageRate) {
 		topic := benignTopics[g.rng.Intn(len(benignTopics))]
-		body.WriteString(g.navLinks(svc, "", topic.Links, nil))
-		body.WriteString(g.contentSection(svc, topic.Sections[g.rng.Intn(len(topic.Sections))]))
+		body.navLinks(svc, topic.Links)
+		body.contentSection(svc, topic.Sections[g.rng.Intn(len(topic.Sections))])
 	}
 	if n := g.rng.Intn(phishingExtraImagesMax + 1); n > 0 {
-		body.WriteString(g.gallery(svc, n))
+		body.gallery(svc, n)
 	}
 
-	title := br.Name + " - " + titleFor(kind)
 	brandTitleRate := phishBrandTitleRate
 	if kind != fwb.KindPhishing {
 		brandTitleRate = evasiveBrandTitleRate
 	}
-	if !g.rng.Bool(brandTitleRate) {
-		title = titleFor(kind) + " - Secure Portal"
+	title := titleFor(kind) + " - Secure Portal"
+	if g.rng.Bool(brandTitleRate) {
+		title = br.Name + " - " + titleFor(kind)
 	}
 	html := g.buildPage(svc, pageOpts{
 		title:      title,
 		siteName:   name,
 		noindex:    g.rng.Bool(NoindexRate),
 		hideBanner: g.rng.Bool(BannerObfuscationRate),
-		bodyHTML:   body.String(),
+		body:       body.b,
 	})
 	return &fwb.Site{
 		URL: url, Name: name, Service: svc, HTML: html,
@@ -232,20 +249,6 @@ func titleFor(kind fwb.SiteKind) string {
 	default:
 		return "Sign In"
 	}
-}
-
-func buttonClass(svc *fwb.Service) string {
-	if svc == nil {
-		return "cta"
-	}
-	return svc.TemplateClass + "-button-wrap"
-}
-
-func richnessOf(svc *fwb.Service) float64 {
-	if svc == nil {
-		return 0.5
-	}
-	return svc.TemplateRichness
 }
 
 func (g *Generator) pickBrand() brands.Brand {
@@ -272,9 +275,16 @@ func (g *Generator) extraFields() []string {
 func (g *Generator) phishSlug(br brands.Brand) string {
 	if g.rng.Bool(BrandInSlugRate) {
 		w := slugWords[g.rng.Intn(16)] // the "sensitive" half of the word list
-		return fmt.Sprintf("%s-%s-%s", br.Key, w, g.seqTag())
+		return br.Key + "-" + w + "-" + g.seqTag()
 	}
-	return g.randToken(8) + g.seqTag()
+	return g.tokenName(8)
+}
+
+// tokenName returns an n-character random name closed by the next name
+// suffix (see seqTag).
+func (g *Generator) tokenName(n int) string {
+	var buf [64]byte
+	return string(g.appendSeqTag(g.rng.AppendToken(buf[:0], alnum, n)))
 }
 
 // externalPhishURL fabricates the attacker-controlled page a two-step or
@@ -286,7 +296,11 @@ func (g *Generator) externalPhishURL(br brands.Brand) string {
 		svc := all[g.rng.Intn(len(all))]
 		return svc.SiteURL(g.phishSlug(br))
 	}
-	return fmt.Sprintf("https://%s-%s.%s/login/", br.Key, g.randToken(5), g.cheapTLDDomainSuffix())
+	var buf [96]byte
+	b := append(append(append(buf[:0], "https://"...), br.Key...), '-')
+	b = g.rng.AppendToken(b, alnum, 5)
+	b = g.appendCheapTLDDomain(append(b, '.'))
+	return string(append(b, "/login/"...))
 }
 
 // secondStageURL builds the linked second-stage attack page. When
@@ -315,14 +329,19 @@ func (g *Generator) secondStageURL(br brands.Brand, at time.Time) string {
 // malwareFileURL fabricates the third-party-hosted malicious download.
 func (g *Generator) malwareFileURL(br brands.Brand) string {
 	exts := []string{"exe", "scr", "apk", "msi", "js"}
-	return fmt.Sprintf("https://files-%s.%s/%s_secure_doc.%s",
-		g.randToken(6), g.cheapTLDDomainSuffix(), br.Key, exts[g.rng.Intn(len(exts))])
+	var buf [96]byte
+	b := g.rng.AppendToken(append(buf[:0], "https://files-"...), alnum, 6)
+	b = g.appendCheapTLDDomain(append(b, '.'))
+	b = append(append(append(b, '/'), br.Key...), "_secure_doc."...)
+	return string(append(b, exts[g.rng.Intn(len(exts))]...))
 }
 
 var cheapSuffixes = []string{"xyz", "top", "live", "icu", "online", "site", "club", "buzz"}
 
-func (g *Generator) cheapTLDDomainSuffix() string {
-	return g.randToken(7) + "." + cheapSuffixes[g.rng.Intn(len(cheapSuffixes))]
+// appendCheapTLDDomain appends a random domain on a cheap TLD.
+func (g *Generator) appendCheapTLDDomain(dst []byte) []byte {
+	dst = append(g.rng.AppendToken(dst, alnum, 7), '.')
+	return append(dst, cheapSuffixes[g.rng.Intn(len(cheapSuffixes))]...)
 }
 
 // SelfHostedPhishing generates a phishing site on a freshly registered
@@ -338,7 +357,7 @@ func (g *Generator) SelfHostedPhishing(at time.Time) *fwb.Site {
 	if hasTLS {
 		scheme = "https"
 	}
-	url := fmt.Sprintf("%s://%s/%s/", scheme, host, g.selfHostedPath(br))
+	url := scheme + "://" + host + "/" + g.selfHostedPath(br) + "/"
 
 	if g.whois != nil {
 		// Fresh registration: exponential age, median ≈ 40 days.
@@ -353,13 +372,14 @@ func (g *Generator) SelfHostedPhishing(at time.Time) *fwb.Site {
 		g.ct.Append(cert, at.Add(-2*time.Hour))
 	}
 
-	var body strings.Builder
-	body.WriteString(g.credentialForm(nil, br, "/gate.php", g.extraFields()))
-	body.WriteString(g.contentSection(nil, "Protected by advanced security. Do not share your password with anyone."))
+	body := g.newMarkup()
+	defer body.free()
+	body.credentialForm(nil, br, "/gate.php", g.extraFields())
+	body.contentSection(nil, "Protected by advanced security. Do not share your password with anyone.")
 	html := g.buildPage(nil, pageOpts{
 		title:       br.Name + " - Sign In",
 		noindex:     g.rng.Bool(0.25),
-		bodyHTML:    body.String(),
+		body:        body.b,
 		serviceLess: true,
 	})
 	return &fwb.Site{
@@ -379,11 +399,11 @@ func (g *Generator) selfHostedHost(br brands.Brand) string {
 	if g.rng.Bool(0.25) {
 		tld = "com"
 	}
-	base := fmt.Sprintf("%s-%s%s", br.Key, slugWords[g.rng.Intn(16)], g.seqTag())
+	base := br.Key + "-" + slugWords[g.rng.Intn(16)] + g.seqTag()
 	if g.rng.Bool(0.3) {
-		base = g.randToken(9) + g.tag
+		base = g.rng.Token(alnum, 9) + g.tag
 	}
-	return fmt.Sprintf("%s%s.%s", sub, base, tld)
+	return sub + base + "." + tld
 }
 
 func (g *Generator) selfHostedPath(br brands.Brand) string {
@@ -418,13 +438,18 @@ func (g *Generator) BenignPostText(url string) string {
 // PickService draws an FWB service proportionally to its abuse weight —
 // the Table 4 volume mix.
 func (g *Generator) PickService() *fwb.Service {
+	return fwb.All()[g.rng.WeightedIndex(abuseWeights)]
+}
+
+// abuseWeights holds each service's AbuseWeight, aligned with fwb.All.
+var abuseWeights = func() []float64 {
 	all := fwb.All()
 	w := make([]float64, len(all))
 	for i, s := range all {
 		w[i] = s.AbuseWeight
 	}
-	return all[g.rng.WeightedIndex(w)]
-}
+	return w
+}()
 
 // PickServiceUniform draws an FWB service uniformly — the benign-site mix.
 func (g *Generator) PickServiceUniform() *fwb.Service {
@@ -440,7 +465,7 @@ func (g *Generator) BenignSelfHosted(at time.Time) *fwb.Site {
 	topic := benignTopics[g.rng.Intn(len(benignTopics))]
 	base := strings.ToLower(strings.ReplaceAll(strings.Fields(topic.Title)[0], "'", ""))
 	tlds := []string{"com", "com", "org", "net", "co.uk", "de"}
-	host := fmt.Sprintf("%s%s.%s", base, g.seqTag(), tlds[g.rng.Intn(len(tlds))])
+	host := base + g.seqTag() + "." + tlds[g.rng.Intn(len(tlds))]
 	url := "https://www." + host + "/"
 
 	if g.whois != nil {
@@ -455,24 +480,25 @@ func (g *Generator) BenignSelfHosted(at time.Time) *fwb.Site {
 		g.ct.Append(cert, cert.Issued)
 	}
 
-	var body strings.Builder
-	body.WriteString(g.navLinks(nil, "", topic.Links, nil))
+	body := g.newMarkup()
+	defer body.free()
+	body.navLinks(nil, topic.Links)
 	nSections := 1 + g.rng.Intn(len(topic.Sections))
 	for _, s := range topic.Sections[:nSections] {
-		body.WriteString(g.contentSection(nil, s))
+		body.contentSection(nil, s)
 	}
 	if g.rng.Bool(0.6) {
-		body.WriteString(g.gallery(nil, 1+g.rng.Intn(4)))
+		body.gallery(nil, 1+g.rng.Intn(4))
 	}
 	if g.rng.Bool(BenignContactFormRate) {
-		body.WriteString(g.contactForm(nil))
+		body.contactForm(nil)
 	}
 	if g.rng.Bool(benignMemberLoginRate) {
-		body.WriteString(g.memberLoginForm(nil))
+		body.memberLoginForm(nil)
 	}
 	html := g.buildPage(nil, pageOpts{
 		title:       topic.Title,
-		bodyHTML:    body.String(),
+		body:        body.b,
 		serviceLess: true,
 	})
 	return &fwb.Site{
