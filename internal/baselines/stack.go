@@ -25,6 +25,9 @@ import (
 type StackDetector struct {
 	label string
 	names []string
+	// cols holds each name's column in features.Values, computed once
+	// wherever names is set.
+	cols  []int
 	seed  int64
 	model *ml.StackModel
 	// impOnce caches the trained model's feature importances: walking the
@@ -35,12 +38,16 @@ type StackDetector struct {
 
 // NewBaseStackModel returns the original StackModel baseline.
 func NewBaseStackModel(seed int64) *StackDetector {
-	return &StackDetector{label: "Base StackModel", names: features.BaseStackNames, seed: seed, model: ml.NewStackModel(seed)}
+	return newStackDetector("Base StackModel", features.BaseStackNames, seed, ml.NewStackModel(seed))
 }
 
 // NewFreePhishModel returns the augmented FreePhish classifier.
 func NewFreePhishModel(seed int64) *StackDetector {
-	return &StackDetector{label: "FreePhish (augmented StackModel)", names: features.FreePhishNames, seed: seed, model: ml.NewStackModel(seed)}
+	return newStackDetector("FreePhish (augmented StackModel)", features.FreePhishNames, seed, ml.NewStackModel(seed))
+}
+
+func newStackDetector(label string, names []string, seed int64, model *ml.StackModel) *StackDetector {
+	return &StackDetector{label: label, names: names, cols: features.Columns(names), seed: seed, model: model}
 }
 
 // Seed reports the seed the detector was constructed (or restored) with.
@@ -63,11 +70,11 @@ func (s *StackDetector) FeatureNames() []string { return s.names }
 func (s *StackDetector) Train(samples []LabeledPage) error {
 	d := &ml.Dataset{Names: s.names}
 	for _, sm := range samples {
-		m, err := features.Extract(sm.Page)
+		vec, err := s.Extract(sm.Page)
 		if err != nil {
 			return err
 		}
-		d.X = append(d.X, features.Vector(s.names, m))
+		d.X = append(d.X, vec)
 		d.Y = append(d.Y, sm.Label)
 	}
 	return s.model.Fit(d)
@@ -85,11 +92,11 @@ func (s *StackDetector) Score(p features.Page) (float64, error) {
 
 // Extract returns p's feature vector in the detector's feature view.
 func (s *StackDetector) Extract(p features.Page) ([]float64, error) {
-	m, err := features.Extract(p)
+	v, err := features.ExtractValues(p)
 	if err != nil {
 		return nil, err
 	}
-	return features.Vector(s.names, m), nil
+	return v.Vector(s.cols), nil
 }
 
 // Predict scores a feature vector from Extract with the stacked model.
@@ -174,7 +181,7 @@ func LoadStackDetector(r io.Reader) (*StackDetector, error) {
 	if len(dto.Names) != model.NumFeatures() {
 		return nil, fmt.Errorf("baselines: detector payload names %d features for a %d-feature model", len(dto.Names), model.NumFeatures())
 	}
-	return &StackDetector{label: dto.Label, names: dto.Names, seed: dto.Seed, model: model}, nil
+	return newStackDetector(dto.Label, dto.Names, dto.Seed, model), nil
 }
 
 type stackDetectorDTO struct {

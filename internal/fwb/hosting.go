@@ -91,7 +91,76 @@ func NewHost(now func() time.Time) *Host {
 	return &Host{sites: make(map[string]*Site), now: now}
 }
 
+// canonicalKey maps a site URL to its sites key: the host lower-cased,
+// then the path with one trailing slash trimmed. Plain URLs take
+// plainKey's fast path; the rest go through net/url.
 func canonicalKey(raw string) (string, error) {
+	if key, ok := plainKey(raw); ok {
+		return key, nil
+	}
+	return urlKey(raw)
+}
+
+// plainKey is canonicalKey read straight off a plain URL:
+// scheme://host[/path], whose host holds only letters, digits, '.' and
+// '-' and whose path only letters, digits, '.', '-', '_', '~' and '/'.
+// net/url unescapes and rejects nothing in such a URL, so its host and
+// path are substrings of raw. ok is false for any other URL.
+func plainKey(raw string) (key string, ok bool) {
+	i := 0
+	for i < len(raw) && isSchemeByte(raw[i], i == 0) {
+		i++
+	}
+	if i == 0 || !strings.HasPrefix(raw[i:], "://") {
+		return "", false
+	}
+	hostStart := i + len("://")
+	hostEnd, upper := hostStart, false
+	for ; hostEnd < len(raw); hostEnd++ {
+		c := raw[hostEnd]
+		if 'A' <= c && c <= 'Z' {
+			upper = true
+		} else if !isHostByte(c) {
+			break
+		}
+	}
+	if hostEnd < len(raw) && raw[hostEnd] != '/' {
+		return "", false
+	}
+	for j := hostEnd; j < len(raw); j++ {
+		if c := raw[j]; !isHostByte(c) && !('A' <= c && c <= 'Z') && c != '_' && c != '~' && c != '/' {
+			return "", false
+		}
+	}
+	end := len(raw)
+	if end > hostEnd && raw[end-1] == '/' {
+		end--
+	}
+	if upper {
+		return strings.ToLower(raw[hostStart:hostEnd]) + raw[hostEnd:end], true
+	}
+	return raw[hostStart:end], true
+}
+
+// isSchemeByte reports whether c may appear in a URL scheme at its
+// position: a letter first, then letters, digits, '+', '-' and '.'.
+func isSchemeByte(c byte, first bool) bool {
+	switch {
+	case 'a' <= c && c <= 'z', 'A' <= c && c <= 'Z':
+		return true
+	case '0' <= c && c <= '9', c == '+', c == '-', c == '.':
+		return !first
+	}
+	return false
+}
+
+// isHostByte reports whether c is a lower-case letter, a digit, '.' or '-'.
+func isHostByte(c byte) bool {
+	return 'a' <= c && c <= 'z' || '0' <= c && c <= '9' || c == '.' || c == '-'
+}
+
+// urlKey is canonicalKey through net/url, for every URL plainKey declines.
+func urlKey(raw string) (string, error) {
 	u, err := url.Parse(raw)
 	if err != nil {
 		return "", err

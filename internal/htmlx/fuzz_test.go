@@ -6,24 +6,27 @@ import "testing"
 // input on every crawl, so "never panic, always terminate" matters more
 // than any single behaviour. Run with: go test -fuzz FuzzParse ./internal/htmlx
 
+// parseSeeds seed FuzzParse and FuzzParseMatchesReference: each is a shape
+// that once broke, or nearly broke, the tokenizer or the tree builder.
+var parseSeeds = []string{
+	"",
+	"<html><body><p>hi</p></body></html>",
+	"<div class='a' style=\"display:none\"><img src=x>",
+	"<script>if(a<b){x()}</script>",
+	"<!-- comment --><!DOCTYPE html>",
+	"<a href='x?a>b'>t</a></span></div>",
+	"<<<>>><input type=password>",
+	"\x00\xff<weird>",
+	"<SCRIPT>x</SCRIPT><p>y",
+	"<script>a</SCRIPT",
+	"<script></scrip</script>",
+	"<style>a</",
+	"<title>\xff\xff</title><b>y</b>",
+	"<textarea>İ\u212a</TEXTAREA>",
+}
+
 func FuzzParse(f *testing.F) {
-	seeds := []string{
-		"",
-		"<html><body><p>hi</p></body></html>",
-		"<div class='a' style=\"display:none\"><img src=x>",
-		"<script>if(a<b){x()}</script>",
-		"<!-- comment --><!DOCTYPE html>",
-		"<a href='x?a>b'>t</a></span></div>",
-		"<<<>>><input type=password>",
-		"\x00\xff<weird>",
-		"<SCRIPT>x</SCRIPT><p>y",
-		"<script>a</SCRIPT",
-		"<script></scrip</script>",
-		"<style>a</",
-		"<title>\xff\xff</title><b>y</b>",
-		"<textarea>İ\u212a</TEXTAREA>",
-	}
-	for _, s := range seeds {
+	for _, s := range parseSeeds {
 		f.Add(s)
 	}
 	f.Fuzz(func(t *testing.T, src string) {

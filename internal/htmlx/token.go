@@ -70,13 +70,14 @@ func (t *Token) Attr(name string) (string, bool) {
 	return "", false
 }
 
-// rawTextTags are elements whose content is raw text up to the matching
-// close tag (no nested markup).
-var rawTextTags = map[string]bool{
-	"script":   true,
-	"style":    true,
-	"textarea": true,
-	"title":    true,
+// isRawTextTag reports whether an element's content is raw text up to the
+// matching close tag (no nested markup).
+func isRawTextTag(tag string) bool {
+	switch tag {
+	case "script", "style", "textarea", "title":
+		return true
+	}
+	return false
 }
 
 // Tokenizer splits HTML source into Tokens. The zero value is not usable;
@@ -96,19 +97,30 @@ func NewTokenizer(src string) *Tokenizer {
 
 // Next returns the next token, or ok=false at end of input.
 func (z *Tokenizer) Next() (Token, bool) {
+	tok, attrs, ok := z.next(nil)
+	if len(attrs) > 0 {
+		tok.Attrs = attrs
+	}
+	return tok, ok
+}
+
+// next is Next with a start or self-closing tag's attributes appended to
+// attrs rather than stored in the token, so Parse can gather every tag's
+// attributes in one buffer. Other tokens append nothing.
+func (z *Tokenizer) next(attrs []Attr) (Token, []Attr, bool) {
 	if z.pos >= len(z.src) {
-		return Token{}, false
+		return Token{}, attrs, false
 	}
 	if z.rawTag != "" {
-		return z.readRawText(), true
+		return z.readRawText(), attrs, true
 	}
 	if z.src[z.pos] == '<' {
-		if tok, ok := z.readMarkup(); ok {
-			return tok, true
+		if tok, out, ok := z.readMarkup(attrs); ok {
+			return tok, out, true
 		}
 		// A lone '<' that opens nothing: treat as text.
 	}
-	return z.readText(), true
+	return z.readText(), attrs, true
 }
 
 // readText consumes up to the next '<' (or end of input).
@@ -177,31 +189,32 @@ func hasPrefixFoldASCII(s, prefix string) bool {
 	return true
 }
 
-// readMarkup consumes a tag, comment, or doctype starting at '<'. It reports
-// ok=false when the '<' does not open valid markup.
-func (z *Tokenizer) readMarkup() (Token, bool) {
+// readMarkup consumes a tag, comment, or doctype starting at '<', appending
+// a start tag's attributes to attrs. It reports ok=false when the '<' does
+// not open valid markup.
+func (z *Tokenizer) readMarkup(attrs []Attr) (Token, []Attr, bool) {
 	rest := z.src[z.pos:]
 	switch {
 	case strings.HasPrefix(rest, "<!--"):
-		return z.readComment(), true
+		return z.readComment(), attrs, true
 	case strings.HasPrefix(rest, "<!") || strings.HasPrefix(rest, "<?"):
-		return z.readDeclaration(), true
+		return z.readDeclaration(), attrs, true
 	}
 	if len(rest) < 2 {
-		return Token{}, false
+		return Token{}, attrs, false
 	}
 	c := rest[1]
 	isEnd := c == '/'
 	nameStart := 1
 	if isEnd {
 		if len(rest) < 3 {
-			return Token{}, false
+			return Token{}, attrs, false
 		}
 		c = rest[2]
 		nameStart = 2
 	}
 	if !isAlpha(c) {
-		return Token{}, false
+		return Token{}, attrs, false
 	}
 	// Find the closing '>' while honoring quoted attribute values.
 	end := -1
@@ -228,7 +241,7 @@ func (z *Tokenizer) readMarkup() (Token, bool) {
 		// Unterminated tag: consume the rest as text.
 		raw := rest
 		z.pos = len(z.src)
-		return Token{Type: TextToken, Data: raw, Raw: raw}, true
+		return Token{Type: TextToken, Data: raw, Raw: raw}, attrs, true
 	}
 	raw := rest[:end+1]
 	z.pos += end + 1
@@ -240,21 +253,23 @@ func (z *Tokenizer) readMarkup() (Token, bool) {
 		inner = strings.TrimSpace(inner)
 		inner = inner[:len(inner)-1]
 	}
-	name, attrs := parseTagBody(inner)
-	tok := Token{Data: name, Attrs: attrs, Raw: raw}
+	name, body := tagName(inner)
+	tok := Token{Data: name, Raw: raw}
 	switch {
 	case isEnd:
+		// An end tag's attributes carry nothing: they are not parsed.
 		tok.Type = EndTagToken
-		tok.Attrs = nil
 	case selfClose:
 		tok.Type = SelfClosingTagToken
+		attrs = appendAttrs(attrs, body)
 	default:
 		tok.Type = StartTagToken
-		if rawTextTags[name] {
+		attrs = appendAttrs(attrs, body)
+		if isRawTextTag(name) {
 			z.rawTag = name
 		}
 	}
-	return tok, true
+	return tok, attrs, true
 }
 
 func (z *Tokenizer) readComment() Token {
@@ -287,14 +302,19 @@ func (z *Tokenizer) readDeclaration() Token {
 	return Token{Type: DoctypeToken, Data: strings.TrimSpace(raw), Raw: raw}
 }
 
-// parseTagBody splits "a href='x' id=y" into the tag name and attributes.
-func parseTagBody(s string) (string, []Attr) {
+// tagName splits "a href='x' id=y" into the lower-cased tag name and the
+// rest of the tag body.
+func tagName(s string) (name, body string) {
 	i := 0
 	for i < len(s) && !isSpace(s[i]) {
 		i++
 	}
-	name := strings.ToLower(s[:i])
-	var attrs []Attr
+	return strings.ToLower(s[:i]), s[i:]
+}
+
+// appendAttrs appends the attributes of a tag body (after the name) to dst.
+func appendAttrs(dst []Attr, s string) []Attr {
+	i := 0
 	for i < len(s) {
 		for i < len(s) && isSpace(s[i]) {
 			i++
@@ -339,9 +359,9 @@ func parseTagBody(s string) (string, []Attr) {
 				val = s[valStart:i]
 			}
 		}
-		attrs = append(attrs, Attr{Key: key, Val: val})
+		dst = append(dst, Attr{Key: key, Val: val})
 	}
-	return name, attrs
+	return dst
 }
 
 func isSpace(c byte) bool {

@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"freephish/internal/ctlog"
+	"freephish/internal/features"
 	"freephish/internal/fwb"
 	"freephish/internal/htmlx"
 	"freephish/internal/simclock"
@@ -132,47 +133,45 @@ func DeriveFromPage(site *fwb.Site, html string, doc *htmlx.Node, sharedAt time.
 }
 
 // analyzePage derives the page-content signals from the parsed page — the
-// same heuristics the FreePhish qualitative analysis automated (§5.5).
+// same heuristics the FreePhish qualitative analysis automated (§5.5) — in
+// one walk of the tree.
 func analyzePage(t *Target, doc *htmlx.Node) {
-	for _, in := range doc.FindAll("input") {
-		switch in.AttrOr("type", "text") {
-		case "password", "email":
-			t.HasCredentialFields = true
-		}
-	}
-	for _, m := range doc.FindAll("meta") {
-		if strings.EqualFold(m.AttrOr("name", ""), "robots") &&
-			strings.Contains(strings.ToLower(m.AttrOr("content", "")), "noindex") {
-			t.Noindex = true
-		}
-	}
 	host := ""
 	if u, err := urlx.Parse(t.URL); err == nil {
 		host = u.Host
 	}
-	for _, f := range doc.FindAll("iframe") {
-		src := f.AttrOr("src", "")
-		if isExternal(src, host) {
-			t.HiddenIFrame = true
+	doc.Walk(func(n *htmlx.Node) bool {
+		if n.Type != htmlx.ElementNode {
+			return true
 		}
-	}
-	for _, a := range doc.FindAll("a") {
-		href := a.AttrOr("href", "")
-		if _, dl := a.Attr("download"); dl || hasDangerousExt(href) {
-			t.DriveByDownload = true
-		}
-		if a.Find("button") != nil && isExternal(href, host) {
-			t.TwoStepLink = true
-		}
-	}
-	for _, n := range doc.FindAllFunc(func(n *htmlx.Node) bool { return n.HasHiddenStyle() }) {
-		idc := strings.ToLower(n.AttrOr("id", "") + " " + n.AttrOr("class", ""))
-		for _, marker := range []string{"banner", "footer", "badge", "branding", "attribution"} {
-			if strings.Contains(idc, marker) {
-				t.BannerObfuscated = true
+		switch n.Tag {
+		case "input":
+			switch n.AttrOr("type", "text") {
+			case "password", "email":
+				t.HasCredentialFields = true
+			}
+		case "meta":
+			if features.RobotsNoindex(n) {
+				t.Noindex = true
+			}
+		case "iframe":
+			if isExternal(n.AttrOr("src", ""), host) {
+				t.HiddenIFrame = true
+			}
+		case "a":
+			href := n.AttrOr("href", "")
+			if _, dl := n.Attr("download"); dl || hasDangerousExt(href) {
+				t.DriveByDownload = true
+			}
+			if !t.TwoStepLink && isExternal(href, host) && n.Find("button") != nil {
+				t.TwoStepLink = true
 			}
 		}
-	}
+		if !t.BannerObfuscated && n.HasHiddenStyle() && features.BannerLike(n) {
+			t.BannerObfuscated = true
+		}
+		return true
+	})
 }
 
 func isExternal(href, host string) bool {
