@@ -65,12 +65,13 @@ func corpus(seed int64, n int, evasiveFocus bool) (train, test []baselines.Label
 // featureDataset extracts the named feature view for every sample.
 func featureDataset(names []string, samples []baselines.LabeledPage) (*ml.Dataset, error) {
 	d := &ml.Dataset{Names: names}
+	cols := features.Columns(names)
 	for _, s := range samples {
-		m, err := features.Extract(s.Page)
+		v, err := features.ExtractValues(s.Page)
 		if err != nil {
 			return nil, err
 		}
-		d.X = append(d.X, features.Vector(names, m))
+		d.X = append(d.X, v.Vector(cols))
 		d.Y = append(d.Y, s.Label)
 	}
 	return d, nil

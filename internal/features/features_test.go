@@ -130,9 +130,10 @@ func TestMultipleTLDsFeature(t *testing.T) {
 }
 
 func TestVectorProjection(t *testing.T) {
-	m := map[string]float64{FURLLength: 42, FNoindex: 1}
-	v := Vector([]string{FURLLength, FNoindex, FIPHost}, m)
-	if v[0] != 42 || v[1] != 1 || v[2] != 0 {
+	var x Values
+	x[idURLLength], x[idNoindex] = 42, 1
+	v := x.Vector(Columns([]string{FURLLength, FNoindex, FIPHost, "not-a-feature"}))
+	if len(v) != 4 || v[0] != 42 || v[1] != 1 || v[2] != 0 || v[3] != 0 {
 		t.Fatalf("vector = %v", v)
 	}
 }
