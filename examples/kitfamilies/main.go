@@ -10,6 +10,7 @@ package main
 
 import (
 	"fmt"
+	"strings"
 	"time"
 
 	"freephish/internal/analysis"
@@ -24,7 +25,7 @@ func main() {
 
 	// Crawl a corpus of self-hosted phishing pages.
 	const n = 150
-	var sigs []map[string]bool
+	var sigs []analysis.Signature
 	var truth []string
 	for i := 0; i < n; i++ {
 		site, family := gen.SelfHostedAttack(epoch)
@@ -48,13 +49,15 @@ func main() {
 		}
 		major, best := "", 0
 		for k, v := range counts {
-			if v > best {
+			if v > best || v == best && k < major {
 				major, best = k, v
 			}
 		}
+		// The signature is sorted, so its first resource fingerprint
+		// ("r:" sorts after every "c:" class token) is a fixed choice.
 		sample := ""
-		for k := range sigs[c[0]] {
-			if len(k) > 2 && k[0] == 'r' { // a resource fingerprint
+		for _, k := range sigs[c[0]] {
+			if strings.HasPrefix(k, "r:") {
 				sample = k[2:]
 				break
 			}

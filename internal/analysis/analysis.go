@@ -41,7 +41,7 @@ type Record struct {
 	Tier string
 	// Signature is the page's markup fingerprint (classes + resource
 	// includes), captured at crawl time for kit-family clustering.
-	Signature map[string]bool
+	Signature Signature
 }
 
 // Delay returns the share→event delay.

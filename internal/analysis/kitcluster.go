@@ -1,11 +1,6 @@
 package analysis
 
-import (
-	"sort"
-	"strings"
-
-	"freephish/internal/htmlx"
-)
+import "sort"
 
 // Kit-family clustering: pages generated from the same phishing kit share
 // markup fingerprints (CSS class vocabularies, fixed resource includes)
@@ -13,82 +8,88 @@ import (
 // families — the analysis behind kit-detection studies the paper builds on
 // (§6) and a natural extension of FreePhish's self-hosted pipeline.
 
-// PageSignature extracts a page's markup fingerprint: the set of CSS class
-// tokens plus the static resource paths it includes. Per-page random
-// attributes (ids, data blobs) are excluded by construction.
-func PageSignature(html string) map[string]bool {
-	return DocSignature(htmlx.Parse(html))
-}
-
-// DocSignature is PageSignature over an already parsed page, so a caller
-// holding the crawler's parse does not parse the page again.
-func DocSignature(doc *htmlx.Node) map[string]bool {
-	sig := make(map[string]bool)
-	doc.Walk(func(n *htmlx.Node) bool {
-		if n.Type != htmlx.ElementNode {
-			return true
-		}
-		if cls, ok := n.Attr("class"); ok {
-			for _, tok := range strings.Fields(cls) {
-				sig["c:"+tok] = true
-			}
-		}
-		switch n.Tag {
-		case "link":
-			if href, ok := n.Attr("href"); ok {
-				sig["r:"+href] = true
-			}
-		case "script":
-			if src, ok := n.Attr("src"); ok {
-				sig["r:"+src] = true
-			}
-		}
-		return true
-	})
-	return sig
-}
-
-// Jaccard returns |a∩b| / |a∪b|; two empty signatures count as identical.
-func Jaccard(a, b map[string]bool) float64 {
-	if len(a) == 0 && len(b) == 0 {
-		return 1
-	}
-	inter := 0
-	for k := range a {
-		if b[k] {
-			inter++
-		}
-	}
-	union := len(a) + len(b) - inter
-	if union == 0 {
-		return 0
-	}
-	return float64(inter) / float64(union)
-}
-
 // ClusterSignatures groups page signatures into families with greedy
 // leader clustering: each page joins the first existing cluster whose
 // leader it matches at or above threshold, else founds a new cluster.
 // Returned clusters are sorted by descending size; indices refer to the
 // input order.
-func ClusterSignatures(sigs []map[string]bool, threshold float64) [][]int {
-	var leaders []int
+func ClusterSignatures(sigs []Signature, threshold float64) [][]int {
 	var clusters [][]int
-	for i, sig := range sigs {
-		placed := false
-		for c, leader := range leaders {
-			if Jaccard(sig, sigs[leader]) >= threshold {
-				clusters[c] = append(clusters[c], i)
-				placed = true
-				break
-			}
-		}
-		if !placed {
-			leaders = append(leaders, i)
-			clusters = append(clusters, []int{i})
-		}
+	if threshold <= 0 {
+		clusters = scanLeaders(sigs, threshold)
+	} else {
+		clusters = indexLeaders(sigs, threshold)
 	}
 	sort.SliceStable(clusters, func(a, b int) bool { return len(clusters[a]) > len(clusters[b]) })
+	return clusters
+}
+
+// scanLeaders is greedy leader clustering by a plain scan: each page is
+// scored against every leader in order. Clusters come out in the order
+// their leaders were founded, each leader first.
+func scanLeaders(sigs []Signature, threshold float64) [][]int {
+	var clusters [][]int
+next:
+	for i, sig := range sigs {
+		for c, cluster := range clusters {
+			if Jaccard(sig, sigs[cluster[0]]) >= threshold {
+				clusters[c] = append(cluster, i)
+				continue next
+			}
+		}
+		clusters = append(clusters, []int{i})
+	}
+	return clusters
+}
+
+// indexLeaders is scanLeaders for a threshold above 0, where a non-empty
+// page scores 0 against every leader it shares no token with, and an
+// empty page scores 1 against an empty leader and 0 against any other.
+// An index from each token to the leaders holding it counts the page's
+// shared tokens with exactly the leaders that can match; the
+// lowest-numbered of them that scores at or above threshold is the one
+// the plain scan would have found first.
+func indexLeaders(sigs []Signature, threshold float64) [][]int {
+	var clusters [][]int
+	byToken := make(map[string][]int32) // token -> leaders holding it, ascending
+	emptyLeader := -1
+	var shared []int32  // per leader: tokens shared with the current page
+	var touched []int32 // leaders whose shared count is nonzero
+	for i, sig := range sigs {
+		best := -1
+		if len(sig) == 0 && emptyLeader >= 0 && 1 >= threshold {
+			best = emptyLeader
+		}
+		for _, tok := range sig {
+			for _, c := range byToken[tok] {
+				if shared[c] == 0 {
+					touched = append(touched, c)
+				}
+				shared[c]++
+			}
+		}
+		for _, c := range touched {
+			if (best < 0 || int(c) < best) &&
+				jaccardOf(int(shared[c]), len(sig), len(sigs[clusters[c][0]])) >= threshold {
+				best = int(c)
+			}
+			shared[c] = 0
+		}
+		touched = touched[:0]
+		if best >= 0 {
+			clusters[best] = append(clusters[best], i)
+			continue
+		}
+		c := int32(len(clusters))
+		clusters = append(clusters, []int{i})
+		shared = append(shared, 0)
+		if len(sig) == 0 && emptyLeader < 0 {
+			emptyLeader = int(c)
+		}
+		for _, tok := range sig {
+			byToken[tok] = append(byToken[tok], c)
+		}
+	}
 	return clusters
 }
 
@@ -134,7 +135,7 @@ func (s *Study) KitFamilies(threshold float64, minSize int) []KitFamily {
 			recs = append(recs, r)
 		}
 	}
-	sigs := make([]map[string]bool, len(recs))
+	sigs := make([]Signature, len(recs))
 	for i, r := range recs {
 		sigs[i] = r.Signature
 	}

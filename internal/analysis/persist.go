@@ -5,7 +5,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"sort"
 	"time"
 
 	"freephish/internal/blocklist"
@@ -66,19 +65,13 @@ func toDTO(r *Record) recordDTO {
 		DriveByDownload: t.DriveByDownload, TwoStepLink: t.TwoStepLink,
 		DomainAgeDays: t.DomainAge.Hours() / 24, CertType: t.CertType,
 		InCTLog: t.InCTLog, SearchIndexed: t.SearchIndexed, TLS: t.TLS,
+		Signature:       r.Signature,
 		Tier:            r.Tier,
 		ClassifierScore: r.ClassifierScore, ClassifiedAt: r.ClassifiedAt,
 		VTDetections: r.VTDetections,
 	}
 	if t.Service != nil {
 		d.ServiceKey = t.Service.Key
-	}
-	if len(r.Signature) > 0 {
-		d.Signature = make([]string, 0, len(r.Signature))
-		for k := range r.Signature {
-			d.Signature = append(d.Signature, k)
-		}
-		sort.Strings(d.Signature)
 	}
 	if len(r.Blocklist) > 0 {
 		d.Blocklist = make(map[string]time.Time)
@@ -130,10 +123,7 @@ func fromDTO(d recordDTO) (*Record, error) {
 		r.Blocklist[name] = blocklist.Verdict{Detected: true, At: at}
 	}
 	if len(d.Signature) > 0 {
-		r.Signature = make(map[string]bool, len(d.Signature))
-		for _, k := range d.Signature {
-			r.Signature[k] = true
-		}
+		r.Signature = asSignature(d.Signature)
 	}
 	if d.PlatformRemoved != nil {
 		r.PlatformRemoved = true

@@ -178,7 +178,7 @@ func TestCascadeDegenerateEquivalence(t *testing.T) {
 // TestLexicalAdmissionSignature pins the page signature of a URL-only
 // admission. Full-path admissions take it from the fetch stage's parse; a
 // lexical record was never fetched and has no parse, so its signature is
-// the empty page's: an empty, non-nil map.
+// the empty page's: an empty, non-nil signature.
 func TestLexicalAdmissionSignature(t *testing.T) {
 	cfg := streamSweepConfig(2, 4, BackendInproc)
 	cfg.Cascade = DefaultCascade()
@@ -194,7 +194,7 @@ func TestLexicalAdmissionSignature(t *testing.T) {
 		}
 		lexical++
 		if r.Signature == nil || len(r.Signature) != 0 {
-			t.Fatalf("lexical record %s has signature %v, want an empty non-nil map", r.Target.URL, r.Signature)
+			t.Fatalf("lexical record %s has signature %v, want an empty non-nil signature", r.Target.URL, r.Signature)
 		}
 	}
 	if lexical == 0 {

@@ -782,7 +782,7 @@ func (f *FreePhish) applyLexical(p *probeResult, now time.Time) error {
 
 // pageSignature is the page's kit-family signature, from the fetch
 // stage's parse when the snapshot carries one.
-func pageSignature(page features.Page) map[string]bool {
+func pageSignature(page features.Page) analysis.Signature {
 	if page.Doc != nil {
 		return analysis.DocSignature(page.Doc)
 	}

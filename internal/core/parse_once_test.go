@@ -2,7 +2,7 @@ package core
 
 import (
 	"errors"
-	"maps"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -148,7 +148,7 @@ func TestFetchStageParsesOnce(t *testing.T) {
 				t.Fatalf("%s: %s and %s were profiled with one Doc", backend, other, url)
 			}
 			docs[req.Doc] = url
-			if !maps.Equal(analysis.DocSignature(req.Doc), rec.Signature) {
+			if !slices.Equal(analysis.DocSignature(req.Doc), rec.Signature) {
 				t.Errorf("%s: signature of %s was not taken from its profiled Doc", backend, url)
 			}
 			model := r.f.BaseModel

@@ -194,20 +194,24 @@ type series struct {
 	inst   any // *Counter, *Gauge, or *Histogram
 }
 
+// get returns the series of values, creating it on first use. The key is
+// built in a stack buffer, so looking up an existing series allocates
+// nothing; only a new series allocates its key string.
 func (f *family) get(values []string) *series {
 	if len(values) != len(f.labels) {
 		panic(fmt.Sprintf("obs: metric %q wants %d label values, got %d", f.name, len(f.labels), len(values)))
 	}
-	key := joinKey(values)
+	var buf [128]byte
+	key := appendKey(buf[:0], values)
 	f.mu.RLock()
-	s := f.series[key]
+	s := f.series[string(key)]
 	f.mu.RUnlock()
 	if s != nil {
 		return s
 	}
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	if s = f.series[key]; s != nil {
+	if s = f.series[string(key)]; s != nil {
 		return s
 	}
 	s = &series{values: append([]string(nil), values...)}
@@ -219,32 +223,22 @@ func (f *family) get(values []string) *series {
 	case kindHistogram:
 		s.inst = newHistogram(f.buckets)
 	}
-	f.series[key] = s
+	f.series[string(key)] = s
 	return s
 }
 
-// joinKey builds the series map key. 0x1f (unit separator) cannot appear
-// in reasonable label values; values containing it still round-trip
-// because the series stores its own copy of the value slice.
-func joinKey(values []string) string {
-	switch len(values) {
-	case 0:
-		return ""
-	case 1:
-		return values[0]
-	}
-	n := len(values) - 1
-	for _, v := range values {
-		n += len(v)
-	}
-	b := make([]byte, 0, n)
+// appendKey appends the series map key of values to b: the values joined
+// by 0x1f (unit separator), which cannot appear in reasonable label
+// values; values containing it still round-trip because the series
+// stores its own copy of the value slice.
+func appendKey(b []byte, values []string) []byte {
 	for i, v := range values {
 		if i > 0 {
 			b = append(b, 0x1f)
 		}
 		b = append(b, v...)
 	}
-	return string(b)
+	return b
 }
 
 // Registry holds metric families. The zero value is not usable; construct

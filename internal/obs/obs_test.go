@@ -223,3 +223,24 @@ func TestOpsMux(t *testing.T) {
 		t.Error("OpsPaths misclassifies")
 	}
 }
+
+// TestWithExistingSeriesAllocatesNothing pins the cost of a labelled
+// lookup that hits: the pipeline and the evaluator look up two-label
+// series on every busy cycle and every decision.
+func TestWithExistingSeriesAllocatesNothing(t *testing.T) {
+	r := NewRegistry()
+	c := r.CounterVec("test_decisions_total", "decisions", "cohort", "kind")
+	h := r.HistogramVec("test_stage_seconds", "stage time", []float64{1}, "stage")
+	cohort, kind, stage := "fwb", "tp", "fetch"
+	c.With(cohort, kind).Inc()
+	h.With(stage).Observe(0.5)
+	if got := testing.AllocsPerRun(100, func() {
+		c.With(cohort, kind).Inc()
+		h.With(stage).Observe(0.5)
+	}); got != 0 {
+		t.Fatalf("With on existing series allocates %v times, want 0", got)
+	}
+	if got := c.With(cohort, kind).Value(); got != 102 {
+		t.Fatalf("counter = %v, want 102", got)
+	}
+}

@@ -89,7 +89,7 @@ func TestCheckpointEncoderMatchesReference(t *testing.T) {
 		Target:       &threat.Target{URL: "http://x.example/" + awkward, Brand: awkward, PostID: awkward},
 		ClassifiedAt: at,
 		Tier:         awkward,
-		Signature:    map[string]bool{awkward: true, "<div>": true},
+		Signature:    analysis.Signature{"<div>", awkward},
 	}
 	cases := []struct {
 		name string
@@ -318,9 +318,9 @@ func benchCheckpoint(n int) *Checkpoint {
 		for k := 0; k < 5; k++ {
 			r.VTDetections = append(r.VTDetections, at.Add(time.Duration(k)*time.Hour))
 		}
-		r.Signature = make(map[string]bool)
-		for k := 0; k < 20; k++ {
-			r.Signature[fmt.Sprintf("class-%02d", k)] = true
+		r.Signature = make(analysis.Signature, 20)
+		for k := range r.Signature {
+			r.Signature[k] = fmt.Sprintf("class-%02d", k)
 		}
 		st.AddRecord(r)
 		st.MarkSeen(url)
