@@ -24,7 +24,6 @@ import (
 	"freephish/internal/fwb"
 	"freephish/internal/proxy"
 	"freephish/internal/urlx"
-	"freephish/internal/webgen"
 )
 
 // Page is one captured website: its URL and HTML source.
@@ -85,16 +84,8 @@ func (d *Detector) TrainSynthetic(pairsPerClass int) error {
 	if pairsPerClass < 20 {
 		pairsPerClass = 20
 	}
-	g := webgen.NewGenerator(d.seed, nil, nil)
 	epoch := time.Date(2022, 11, 1, 0, 0, 0, 0, time.UTC)
-	var samples []Sample
-	for i := 0; i < pairsPerClass; i++ {
-		p := g.PhishingFWBSite(g.PickService(), epoch)
-		samples = append(samples, Sample{Page: Page{URL: p.URL, HTML: p.HTML}, Label: Phishing})
-		b := g.BenignFWBSite(g.PickServiceUniform(), epoch)
-		samples = append(samples, Sample{Page: Page{URL: b.URL, HTML: b.HTML}, Label: Benign})
-	}
-	return d.Train(samples)
+	return d.model.Train(baselines.SyntheticPairs(d.seed, pairsPerClass, epoch))
 }
 
 // Score returns P(phishing) for the page.

@@ -14,6 +14,7 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"log"
@@ -24,7 +25,6 @@ import (
 	"freephish/internal/baselines"
 	"freephish/internal/crawler"
 	"freephish/internal/faults"
-	"freephish/internal/features"
 	"freephish/internal/fwb"
 	"freephish/internal/obs"
 	"freephish/internal/proxy"
@@ -45,7 +45,6 @@ func main() {
 		journalOut = flag.String("journal", "", "stream per-request trace events as JSONL to this file (enables request tracing)")
 		workers    = flag.Int("workers", 0, "training worker pool size; 0 = one per CPU (the trained model is identical at every setting)")
 		queueDepth = flag.Int("queue-depth", 0, "max concurrent live classifications (fetch + score); bursts beyond it queue; 0 = unbounded")
-		cacheSize  = flag.Int("snapshot-cache", 0, "parsed-snapshot LRU capacity; 0 = default, negative disables")
 		cacheTTL   = flag.Duration("cache-ttl", 0, "expire cached verdicts older than this at lookup time (cleaned-up or newly compromised pages get re-scored); 0 = never expire")
 		cascadeStr = flag.String("cascade", "", "tiered cascade: off, on (calibrated thresholds), or benignBelow,phishAbove — confidently triaged URLs are answered from the URL string alone, before any fetch")
 		backend    = flag.String("backend", "http", "how fetches reach the web: http (via -upstream or the real network) or inproc (serve a seeded simulated FWB web in this process; no fwbhost needed)")
@@ -67,14 +66,7 @@ func main() {
 	// full training run.
 	var train []baselines.LabeledPage
 	if *modelPath == "" || cascadeOn {
-		g := webgen.NewGenerator(*seed, nil, nil)
-		epoch := time.Now()
-		for i := 0; i < *trainN; i++ {
-			p := g.PhishingFWBSite(g.PickService(), epoch)
-			train = append(train, baselines.LabeledPage{Page: features.Page{URL: p.URL, HTML: p.HTML}, Label: 1})
-			b := g.BenignFWBSite(g.PickServiceUniform(), epoch)
-			train = append(train, baselines.LabeledPage{Page: features.Page{URL: b.URL, HTML: b.HTML}})
-		}
+		train = baselines.SyntheticPairs(*seed, *trainN, time.Now())
 	}
 
 	var model *baselines.StackDetector
@@ -111,52 +103,28 @@ func main() {
 		}
 	}
 
-	fetcher := crawler.NewFetcher(*upstream)
-	var transport http.RoundTripper
-	switch *backend {
-	case "http":
+	fetcher, transport, sites, err := newBackend(*backend, *upstream, *seed, faultProf)
+	if err != nil {
+		log.Fatal(err)
+	}
+	if sites != nil {
 		if faultProf != nil {
-			log.Fatalf("-faults requires -backend inproc (chaos is injected into the simulated web)")
-		}
-		if *upstream != "" {
-			transport = fetchTransport{crawler.NewFetcher(*upstream)}
-		}
-	case "inproc":
-		// The fwbhost demo, minus the process: a seeded simulated web is
-		// built here and every fetch dispatches to it in-process.
-		host, nSites, nPhish := simWeb(*seed)
-		rt := world.NewHandlerTransport()
-		var webHandler http.Handler = host
-		if faultProf != nil {
-			inj := faults.NewInjector(*seed, *faultProf)
-			webHandler = inj.Middleware("web", false, host)
 			log.Printf("fault injection enabled on the simulated web: %s", *faultSpec)
 		}
-		rt.Handle("web.inproc", webHandler)
-		client := &http.Client{Transport: rt, Timeout: 10 * time.Second}
-		fetcher.Base = "http://web.inproc"
-		fetcher.Client = client
-		pass := crawler.NewFetcher("http://web.inproc")
-		pass.Client = client
-		transport = fetchTransport{pass}
-		log.Printf("inproc backend: %d simulated FWB sites served in-process (%d phishing)", nSites, nPhish)
-		for i, site := range host.Sites() {
+		nPhish := 0
+		for _, site := range sites {
+			if site.Kind.IsMalicious() {
+				nPhish++
+			}
+		}
+		log.Printf("inproc backend: %d simulated FWB sites served in-process (%d phishing)", len(sites), nPhish)
+		for i, site := range sites {
 			if i >= 5 {
-				log.Printf("  ... and %d more", len(host.Sites())-i)
+				log.Printf("  ... and %d more", len(sites)-i)
 				break
 			}
 			log.Printf("  [%-12s] curl -x http://%s '%s'", site.Kind, *addr, site.URL)
 		}
-	default:
-		log.Fatalf("unknown -backend %q (want http or inproc)", *backend)
-	}
-	var snapCache *crawler.SnapshotCache
-	if *cacheSize >= 0 {
-		// Users revisit pages; the LRU makes the second check of an
-		// unchanged page skip the HTML re-parse (the fetch still happens,
-		// so takedowns are observed live).
-		snapCache = crawler.NewSnapshotCache(*cacheSize)
-		fetcher.Cache = snapCache
 	}
 	checker := proxy.NewLiveChecker(model, fetcher.Snapshot)
 	checker.SetMaxInFlight(*queueDepth)
@@ -207,16 +175,6 @@ func main() {
 		checkLat.Observe(wall.Seconds())
 		journal.Record(url, "checked", time.Now(),
 			"decision", d, "wall_ms", fmt.Sprintf("%.2f", float64(wall)/float64(time.Millisecond)))
-	}
-	if snapCache != nil {
-		reg.GaugeFunc("freephish_snapshot_cache_hits_total",
-			"Live checks that reused a cached parse (unchanged body).", func() float64 {
-				return float64(snapCache.Hits())
-			})
-		reg.GaugeFunc("freephish_snapshot_cache_misses_total",
-			"Live checks that parsed a new or changed body.", func() float64 {
-				return float64(snapCache.Misses())
-			})
 	}
 	// The verdict cache is bounded (LRU); these counters make its churn
 	// visible so an undersized cache shows up as an eviction rate.
@@ -286,9 +244,41 @@ func orDirect(s string) string {
 	return s
 }
 
-// fetchTransport routes passed-through requests via a Fetcher (pointed at
-// the upstream fwbhost or the in-process simulated web) while preserving
-// the virtual Host header.
+// newBackend wires how the proxy reaches the web. One Fetcher serves
+// both the live checker and the pass-through transport. On "http" it
+// dials upstream (an fwbhost instance), or the real network when upstream
+// is empty, and then passed-through requests go out on
+// http.DefaultTransport (a nil transport). On "inproc" it publishes the
+// seeded demo web in this process and fetches it the way a study does,
+// through world.Snapshots, drawing prof's faults when prof is non-nil;
+// sites lists the published sites.
+func newBackend(backend, upstream string, seed int64, prof *faults.Profile) (fetcher *crawler.Fetcher, transport http.RoundTripper, sites []*fwb.Site, err error) {
+	fetcher = crawler.NewFetcher(upstream)
+	switch backend {
+	case "http":
+		if prof != nil {
+			return nil, nil, nil, errors.New("-faults requires -backend inproc (chaos is injected into the simulated web)")
+		}
+		if upstream == "" {
+			return fetcher, nil, nil, nil
+		}
+		return fetcher, fetchTransport{fetcher}, nil, nil
+	case "inproc":
+		host := fwb.NewHost(time.Now)
+		sites, _ = webgen.NewGenerator(seed, nil, nil).PublishDemoWeb(host, webgen.DemoSites, webgen.DemoPhishFrac, time.Now())
+		var chaos func(endpoint, host, requestURI string, serve func() (int, string)) (int, string, error)
+		if prof != nil {
+			chaos = faults.NewInjector(seed, *prof).Get
+		}
+		fetcher.Source = world.Snapshots(host, chaos)
+		return fetcher, fetchTransport{fetcher}, sites, nil
+	}
+	return nil, nil, nil, fmt.Errorf("unknown -backend %q (want http or inproc)", backend)
+}
+
+// fetchTransport routes passed-through requests via the Fetcher (pointed
+// at the upstream fwbhost or the in-process simulated web) while
+// preserving the virtual Host header.
 type fetchTransport struct{ f *crawler.Fetcher }
 
 func (t fetchTransport) RoundTrip(r *http.Request) (*http.Response, error) {
@@ -296,29 +286,5 @@ func (t fetchTransport) RoundTrip(r *http.Request) (*http.Response, error) {
 	if err != nil {
 		return nil, err
 	}
-	rec := newBodyResponse(status, page.HTML, r)
-	return rec, nil
-}
-
-// simWeb builds the seeded simulated FWB web the inproc backend serves —
-// the same population cmd/fwbhost publishes.
-func simWeb(seed int64) (*fwb.Host, int, int) {
-	const sites = 40
-	const phishFrac = 0.4
-	host := fwb.NewHost(time.Now)
-	g := webgen.NewGenerator(seed, nil, nil)
-	epoch := time.Now()
-	nPhish := int(sites * phishFrac)
-	for i := 0; i < sites; i++ {
-		var site *fwb.Site
-		if i < nPhish {
-			site = g.PhishingFWBSite(g.PickService(), epoch)
-		} else {
-			site = g.BenignFWBSite(g.PickServiceUniform(), epoch)
-		}
-		if err := host.Publish(site); err != nil {
-			continue
-		}
-	}
-	return host, sites, nPhish
+	return newBodyResponse(status, page.HTML, r), nil
 }

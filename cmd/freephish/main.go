@@ -23,11 +23,9 @@ import (
 	"freephish/internal/baselines"
 	"freephish/internal/core"
 	"freephish/internal/faults"
-	"freephish/internal/features"
 	"freephish/internal/obs"
 	"freephish/internal/simclock"
 	"freephish/internal/state"
-	"freephish/internal/webgen"
 )
 
 func main() {
@@ -242,15 +240,7 @@ func main() {
 
 // renderTable2 runs the five-model bake-off on a fresh ground-truth corpus.
 func renderTable2(seed int64, n int) string {
-	g := webgen.NewGenerator(seed, nil, nil)
-	at := time.Date(2022, 11, 1, 0, 0, 0, 0, time.UTC)
-	var all []baselines.LabeledPage
-	for i := 0; i < n/2; i++ {
-		p := g.PhishingFWBSite(g.PickService(), at)
-		all = append(all, baselines.LabeledPage{Page: features.Page{URL: p.URL, HTML: p.HTML}, Label: 1})
-		b := g.BenignFWBSite(g.PickServiceUniform(), at)
-		all = append(all, baselines.LabeledPage{Page: features.Page{URL: b.URL, HTML: b.HTML}})
-	}
+	all := baselines.SyntheticPairs(seed, n/2, time.Date(2022, 11, 1, 0, 0, 0, 0, time.UTC))
 	rng := simclock.NewRNG(seed, "cmd.table2")
 	rng.Shuffle(len(all), func(i, j int) { all[i], all[j] = all[j], all[i] })
 	cut := int(float64(len(all)) * 0.7)

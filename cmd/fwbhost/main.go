@@ -30,8 +30,8 @@ import (
 func main() {
 	var (
 		addr     = flag.String("addr", "127.0.0.1:8800", "listen address")
-		sites    = flag.Int("sites", 40, "number of sites to generate")
-		phishFrc = flag.Float64("phish", 0.4, "fraction of sites that are phishing attacks")
+		sites    = flag.Int("sites", webgen.DemoSites, "number of sites to generate")
+		phishFrc = flag.Float64("phish", webgen.DemoPhishFrac, "fraction of sites that are phishing attacks")
 		seed     = flag.Int64("seed", 1, "generation seed")
 		social   = flag.Bool("social", false, "also publish every site in a post and serve the platform APIs under /twitter and /facebook")
 		ops      = flag.Bool("ops", true, "serve /metrics, /healthz, /version and /debug/pprof on the same listener")
@@ -60,18 +60,9 @@ func main() {
 		}
 	}
 
-	nPhish := int(float64(*sites) * *phishFrc)
+	published, nPhish := g.PublishDemoWeb(host, *sites, *phishFrc, epoch)
 	fmt.Printf("simulated FWB web on http://%s (%d sites, %d phishing)\n\n", *addr, *sites, nPhish)
-	for i := 0; i < *sites; i++ {
-		var site *fwb.Site
-		if i < nPhish {
-			site = g.PhishingFWBSite(g.PickService(), epoch)
-		} else {
-			site = g.BenignFWBSite(g.PickServiceUniform(), epoch)
-		}
-		if err := host.Publish(site); err != nil {
-			continue
-		}
+	for _, site := range published {
 		jr.Record(site.URL, "published", time.Now(),
 			"kind", string(site.Kind), "service", site.Service.Key)
 		p, err := urlx.Parse(site.URL)

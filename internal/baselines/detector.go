@@ -16,12 +16,30 @@ import (
 	"freephish/internal/features"
 	"freephish/internal/ml"
 	"freephish/internal/pipe"
+	"freephish/internal/webgen"
 )
 
 // LabeledPage is one ground-truth sample.
 type LabeledPage struct {
 	Page  features.Page
 	Label int // 1 = phishing
+}
+
+// SyntheticPairs generates a ground-truth corpus of pairs FWB phishing
+// sites, each followed by a benign one, from a fresh generator seeded with
+// seed, every site created at at. The generator call order is fixed: it
+// defines the corpus a seed's models are trained on.
+func SyntheticPairs(seed int64, pairs int, at time.Time) []LabeledPage {
+	g := webgen.NewGenerator(seed, nil, nil)
+	var out []LabeledPage
+	for i := 0; i < pairs; i++ {
+		p := g.PhishingFWBSite(g.PickService(), at)
+		b := g.BenignFWBSite(g.PickServiceUniform(), at)
+		out = append(out,
+			LabeledPage{Page: features.Page{URL: p.URL, HTML: p.HTML}, Label: 1},
+			LabeledPage{Page: features.Page{URL: b.URL, HTML: b.HTML}})
+	}
+	return out
 }
 
 // Detector is a trainable phishing detector.

@@ -63,9 +63,6 @@ func (s *StackDetector) SetParallelism(n int) { s.model.Parallelism = n }
 // Name implements Detector.
 func (s *StackDetector) Name() string { return s.label }
 
-// FeatureNames reports which feature view the detector consumes.
-func (s *StackDetector) FeatureNames() []string { return s.names }
-
 // Train implements Detector.
 func (s *StackDetector) Train(samples []LabeledPage) error {
 	d := &ml.Dataset{Names: s.names}

@@ -329,19 +329,14 @@ type Fetcher struct {
 	Base   string // e.g. the httptest server URL fronting the simulated web
 	Client *http.Client
 	// Source, when set, serves every page in process instead of over
-	// Client, and Base is ignored. Retries, the status contract, the
-	// observer and the cache behave exactly as on the HTTP path.
+	// Client, and Base is ignored. Retries, the status contract and the
+	// observer behave exactly as on the HTTP path.
 	Source SnapshotSource
-	// Retry, when set, is the unified retry policy governing attempts,
-	// backoff, and circuit breaking (keyed per target host). When nil, a
-	// policy is derived from Retries/Backoff per call.
+	// Retry is the unified retry policy governing attempts, backoff, and
+	// circuit breaking (keyed per target host). NewFetcher installs 3
+	// attempts with a 250ms base delay (real crawls see transient resets
+	// constantly); nil means a single attempt.
 	Retry *retry.Policy
-	// Retries is the number of extra attempts when Retry is nil (real
-	// crawls see transient resets constantly).
-	Retries int
-	// Backoff is the base delay between attempts when Retry is nil; the
-	// default is 250ms.
-	Backoff time.Duration
 	// UserAgent presented to the site; defaults to ChromiumUA.
 	UserAgent string
 	// Observe, when set, receives one event per Snapshot: the final HTTP
@@ -349,12 +344,6 @@ type Fetcher struct {
 	// total wall-clock latency including retries, and the terminal error
 	// if every attempt failed. Must be cheap; it runs per fetched URL.
 	Observe func(status, attempts int, wall time.Duration, err error)
-	// Cache, when set, resolves 200 responses through the snapshot LRU so
-	// byte-identical re-probes of a URL (the proxy's repeat visits) reuse
-	// one parsed DOM, and the returned page carries it in Doc. The fetch
-	// itself always happens — only the parse is deduplicated. Without a
-	// Cache, Snapshot neither parses nor hashes the body and Doc is nil.
-	Cache *SnapshotCache
 }
 
 // defaultFetchClient backs a Fetcher whose Client was left nil — with a
@@ -364,12 +353,14 @@ var defaultFetchClient = &http.Client{Timeout: 15 * time.Second}
 // NewFetcher returns a Fetcher pointed at the simulation endpoint.
 func NewFetcher(base string) *Fetcher {
 	return &Fetcher{
-		Base:    base,
-		Client:  &http.Client{Timeout: 10 * time.Second},
-		Retries: 2,
-		Backoff: 250 * time.Millisecond,
+		Base:   base,
+		Client: &http.Client{Timeout: 10 * time.Second},
+		Retry:  &retry.Policy{MaxAttempts: 3, BaseDelay: 250 * time.Millisecond, Multiplier: 2},
 	}
 }
+
+// singleAttempt is the policy of a Fetcher whose Retry is nil.
+var singleAttempt = &retry.Policy{MaxAttempts: 1}
 
 // Snapshot fetches the page at rawURL and returns it with the HTTP status.
 // A non-200 status is not an error: the analysis module uses 404/410 as the
@@ -402,15 +393,7 @@ func (f *Fetcher) SnapshotContext(ctx context.Context, rawURL string) (features.
 	}
 	pol := f.Retry
 	if pol == nil {
-		backoff := f.Backoff
-		if backoff <= 0 {
-			backoff = 250 * time.Millisecond
-		}
-		pol = &retry.Policy{
-			MaxAttempts: f.Retries + 1,
-			BaseDelay:   backoff,
-			Multiplier:  2,
-		}
+		pol = singleAttempt
 	}
 	start := time.Now()
 	var (
@@ -451,9 +434,6 @@ func (f *Fetcher) SnapshotContext(ctx context.Context, rawURL string) (features.
 	}
 	if f.Observe != nil {
 		f.Observe(status, attempts, time.Since(start), nil)
-	}
-	if f.Cache != nil && status == http.StatusOK {
-		return f.Cache.Page(rawURL, page.HTML), status, nil
 	}
 	return page, status, nil
 }

@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"freephish/internal/fwb"
+	"freephish/internal/retry"
 	"freephish/internal/social"
 	"freephish/internal/threat"
 	"freephish/internal/webgen"
@@ -306,7 +307,7 @@ func TestFetcherRetriesTransientFailures(t *testing.T) {
 	}))
 	defer srv.Close()
 	f := NewFetcher(srv.URL)
-	f.Backoff = time.Millisecond
+	f.Retry = &retry.Policy{MaxAttempts: 3, BaseDelay: time.Millisecond, Multiplier: 2}
 	page, status, err := f.Snapshot("https://flaky.weebly.com/")
 	if err != nil || status != 200 {
 		t.Fatalf("snapshot after retries: %v %d", err, status)
@@ -321,8 +322,7 @@ func TestFetcherRetriesTransientFailures(t *testing.T) {
 
 func TestFetcherGivesUpAfterRetries(t *testing.T) {
 	f := NewFetcher("http://127.0.0.1:1")
-	f.Retries = 1
-	f.Backoff = time.Millisecond
+	f.Retry = &retry.Policy{MaxAttempts: 2, BaseDelay: time.Millisecond, Multiplier: 2}
 	if _, _, err := f.Snapshot("https://x.weebly.com/"); err == nil {
 		t.Fatal("unreachable backend must error after retries")
 	}

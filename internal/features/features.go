@@ -18,7 +18,7 @@ import (
 // Page is the crawler snapshot a feature vector is extracted from. Doc,
 // when non-nil, is the pre-parsed DOM of HTML — the study's fetch stage
 // parses each fetched page once and sets it, so classification and the
-// profile share that parse (freephish-proxy's snapshot cache sets it too).
+// profile share that parse.
 // The tree must correspond to HTML and is treated as read-only, so a
 // shared Doc is safe under concurrent extraction.
 type Page struct {

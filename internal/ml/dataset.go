@@ -97,12 +97,3 @@ func Predict(c Classifier, x []float64) int {
 	}
 	return 0
 }
-
-// PredictAll returns hard predictions for every row.
-func PredictAll(c Classifier, X [][]float64) []int {
-	out := make([]int, len(X))
-	for i, x := range X {
-		out[i] = Predict(c, x)
-	}
-	return out
-}

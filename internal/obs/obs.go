@@ -71,19 +71,6 @@ var DefBuckets = []float64{.0001, .00025, .0005, .001, .0025, .005, .01, .025, .
 // ScoreBuckets suit values in [0, 1] such as classifier probabilities.
 var ScoreBuckets = []float64{.1, .2, .3, .4, .5, .6, .7, .8, .9, 1}
 
-// ExpBuckets returns n buckets starting at start, each factor× the last.
-func ExpBuckets(start, factor float64, n int) []float64 {
-	if start <= 0 || factor <= 1 || n < 1 {
-		panic("obs: invalid exponential bucket spec")
-	}
-	out := make([]float64, n)
-	for i := range out {
-		out[i] = start
-		start *= factor
-	}
-	return out
-}
-
 // Histogram observes a distribution into fixed buckets. The +Inf bucket
 // is implicit.
 type Histogram struct {

@@ -185,7 +185,7 @@ func TestOpsMux(t *testing.T) {
 	reg := NewRegistry()
 	reg.Counter("ops_total", "t").Inc()
 	healthErr := error(nil)
-	mux := NewOpsMux(reg, func() error { return healthErr })
+	mux := NewOps(reg, OpsOptions{Healthz: func() error { return healthErr }})
 	srv := httptest.NewServer(mux)
 	defer srv.Close()
 

@@ -19,23 +19,18 @@ type OpsOptions struct {
 	Info map[string]string
 }
 
-// NewOpsMux assembles the standard operational surface every FreePhish
+// NewOps assembles the standard operational surface every FreePhish
 // daemon exposes:
 //
 //	/metrics       Prometheus text exposition of reg
-//	/healthz       200 "ok", or 503 with the error from healthz
-//	/version       build identity JSON
+//	/healthz       200 "ok", or 503 with the error from opts.Healthz
+//	/version       build identity JSON (opts.Info)
 //	/debug/vars    expvar JSON (process-wide)
 //	/debug/pprof/  the net/http/pprof profile suite
+//	/dash          the live dashboard, when opts.Dash is set
 //
-// healthz may be nil (always healthy). Mount the mux on a loopback
-// listener, or merge selected routes into an existing daemon mux. Use
-// NewOps to also mount the /dash dashboard and /version payload.
-func NewOpsMux(reg *Registry, healthz func() error) *http.ServeMux {
-	return NewOps(reg, OpsOptions{Healthz: healthz})
-}
-
-// NewOps is NewOpsMux with the full option set: dashboard and build info.
+// Mount the mux on a loopback listener, or split traffic onto it from an
+// application listener with OpsPaths.
 func NewOps(reg *Registry, opts OpsOptions) *http.ServeMux {
 	mux := http.NewServeMux()
 	mux.Handle("/metrics", reg.Handler())

@@ -14,7 +14,8 @@ import (
 const DefaultVerdictCacheSize = 4096
 
 // verdictCache is a bounded LRU of classification verdicts keyed by
-// normalized URL — the same recency discipline as crawler.SnapshotCache.
+// normalized URL. It is the proxy's only cache: a hit answers a revisit
+// with no fetch and no parse.
 // Safe for concurrent use; hit/miss/eviction counters are atomic so the
 // ops endpoint can read them without taking the lock.
 type verdictCache struct {

@@ -506,3 +506,30 @@ func (g *Generator) BenignSelfHosted(at time.Time) *fwb.Site {
 		Kind: fwb.KindBenign, Created: at,
 	}
 }
+
+// The demo web's default size and phishing share: what cmd/fwbhost
+// serves by default and freephish-proxy's inproc backend embeds.
+const (
+	DemoSites     = 40
+	DemoPhishFrac = 0.4
+)
+
+// PublishDemoWeb publishes the demo population on host: sites FWB sites
+// created at at, the first int(sites*phishFrac) of them phishing attacks
+// and the rest benign. It returns the sites that published, in order, and
+// the number of phishing sites generated.
+func (g *Generator) PublishDemoWeb(host *fwb.Host, sites int, phishFrac float64, at time.Time) (published []*fwb.Site, nPhish int) {
+	nPhish = int(float64(sites) * phishFrac)
+	for i := 0; i < sites; i++ {
+		var site *fwb.Site
+		if i < nPhish {
+			site = g.PhishingFWBSite(g.PickService(), at)
+		} else {
+			site = g.BenignFWBSite(g.PickServiceUniform(), at)
+		}
+		if host.Publish(site) == nil {
+			published = append(published, site)
+		}
+	}
+	return published, nPhish
+}

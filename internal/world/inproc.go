@@ -50,9 +50,8 @@ func Snapshots(h *fwb.Host, chaos func(endpoint, host, requestURI string, serve 
 // HandlerTransport is an http.RoundTripper that dispatches requests to
 // in-process handlers keyed on the request's URL host — the same bytes a
 // loopback server would produce, without sockets. It lets a real net/http
-// client (the proxy's fetcher, perfbench's layer replay, the tests that
-// hold Snapshots to the HTTP path) run against the simulation with no
-// listeners.
+// client (perfbench's layer replay, the tests that hold Snapshots to the
+// HTTP path) run against the simulation with no listeners.
 type HandlerTransport struct {
 	hosts map[string]http.Handler
 	// Default, when set, handles any host without an explicit entry.
