@@ -2,6 +2,9 @@ package core
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
+	"encoding/json"
 	"fmt"
 	"strings"
 	"testing"
@@ -56,6 +59,26 @@ func diffCascadeRun(t *testing.T, label string, wantRec, gotRec, wantJournal, go
 	}
 	diffLines("study", wantRec, gotRec)
 	diffLines("journal", wantJournal, gotJournal)
+}
+
+// cascadeReferenceDigest is cascadeDigest of TestCascadeDeterminism's
+// reference run (workers 1, depth 1, inproc, no chaos).
+const cascadeReferenceDigest = "fc9982bf544010385e0516cb92a325aa150634ec7332853e543a9f1949707e3b"
+
+// cascadeDigest is the SHA-256 of a run's records JSONL, canonical
+// journal JSONL and JSON-encoded stats, each length-prefixed.
+func cascadeDigest(t *testing.T, records, journal []byte, stats Stats) string {
+	t.Helper()
+	st, err := json.Marshal(stats)
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := sha256.New()
+	for _, b := range [][]byte{records, journal, st} {
+		fmt.Fprintf(h, "%d\n", len(b))
+		h.Write(b)
+	}
+	return hex.EncodeToString(h.Sum(nil))
 }
 
 // TestParseCascade pins the core-level wrapper: off specs map to a nil
@@ -128,6 +151,13 @@ func TestCascadeDeterminism(t *testing.T) {
 	if len(baseRec) == 0 {
 		t.Fatal("cascade study produced no records")
 	}
+	// The sweep below only compares settings with each other; the pin
+	// also catches a change that moves every setting alike.
+	t.Run("reference_digest", func(t *testing.T) {
+		if got := cascadeDigest(t, baseRec, baseJournal, baseStats); got != cascadeReferenceDigest {
+			t.Fatalf("reference cascade run digest = %s, want %s", got, cascadeReferenceDigest)
+		}
+	})
 
 	for _, workers := range []int{1, 2, 8} {
 		for _, depth := range []int{1, 4, 64} {
