@@ -57,9 +57,11 @@ VERIFY_stream := TestStudyDeterminismAcrossQueueDepths|TestRunEndsImmediatelyOnP
 VERIFY_journal := TestJournalDeterminism|TestJournalMatchesResultAPI
 # cascade: with the cascade on, the same seed must yield byte-identical
 # records, journal, and stats at every (workers × queue-depth × backend)
-# setting including under chaos, and the degenerate (0,1) cascade must
-# reproduce the cascade-off study exactly.
-VERIFY_cascade := TestCascadeDeterminism|TestCascadeDegenerateEquivalence
+# setting including under chaos, and the reference run must match its
+# pinned digest (TestCascadeDeterminism/reference_digest); the degenerate
+# (0,1) cascade must reproduce the cascade-off study exactly; and a
+# lexical admission must carry the empty page's signature.
+VERIFY_cascade := TestCascadeDeterminism|TestCascadeDegenerateEquivalence|TestLexicalAdmissionSignature
 # shards: the same seed split across 1, 2, 4, and 8 sub-stream shards
 # must merge into byte-identical records, journal, and stats — across
 # backends, with pipeline parallelism inside each shard, under the
@@ -83,10 +85,11 @@ VERIFY_resume := TestResumeByteIdentical|TestCheckpointCutsMatchReference|TestRe
 # fail over to local dispatch through the per-worker circuit breaker.
 # Every Config field must travel through the spec (or be allowlisted as
 # deployment-only), every study-shaping spec field must move the
-# fingerprint, and a spec with an out-of-range shard position must be
-# refused. A spec or adoption checkpoint that still carries the retired
+# fingerprint, a spec with every travelling knob set must keep its pinned
+# wire and fingerprint bytes, and a spec with an out-of-range shard
+# position must be refused. A spec or adoption checkpoint that still carries the retired
 # snapshot_cache_size key must decode, fingerprint the same and run.
-VERIFY_remote-shards := TestRemoteShardDeterminism|TestWorkerBreakerFailover|TestConfigSpecRoundTrip|TestSpecFingerprintFields|TestSpecRunnerRejectsShardOutOfRange|TestRetiredSnapshotCacheSizeDecodes
+VERIFY_remote-shards := TestRemoteShardDeterminism|TestWorkerBreakerFailover|TestConfigSpecRoundTrip|TestSpecFingerprintFields|TestSpecBytesPinned|TestSpecRunnerRejectsShardOutOfRange|TestRetiredSnapshotCacheSizeDecodes
 # adoption: a shard runner killed mid-run (local panic or remote
 # connection death) must be replaced by a runner that resumes from the
 # dead runner's last streamed checkpoint — never from scratch — and the

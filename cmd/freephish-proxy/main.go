@@ -20,6 +20,7 @@ import (
 	"log"
 	"net/http"
 	"os"
+	"strings"
 	"time"
 
 	"freephish/internal/baselines"
@@ -123,7 +124,9 @@ func main() {
 				log.Printf("  ... and %d more", len(sites)-i)
 				break
 			}
-			log.Printf("  [%-12s] curl -x http://%s '%s'", site.Kind, *addr, site.URL)
+			// The http:// form: curl would send an https URL as a CONNECT,
+			// which the proxy declines.
+			log.Printf("  [%-12s] curl -x http://%s 'http://%s'", site.Kind, *addr, strings.TrimPrefix(site.URL, "https://"))
 		}
 	}
 	checker := proxy.NewLiveChecker(model, fetcher.Snapshot)

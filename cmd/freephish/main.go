@@ -65,11 +65,7 @@ func main() {
 	cfg.Backend = *backend
 	cfg.Shards = *shards
 	if *shardWk != "" {
-		for _, ep := range strings.Split(*shardWk, ",") {
-			if ep = strings.TrimSpace(ep); ep != "" {
-				cfg.ShardWorkers = append(cfg.ShardWorkers, ep)
-			}
-		}
+		cfg.ShardWorkers = strings.Split(*shardWk, ",")
 	}
 	cfg.Registry = reg
 	cfg.Journal = *journal != "" || *dash

@@ -135,16 +135,15 @@ func (f *FreePhish) fingerprint() string {
 
 // specFingerprint is the version followed by the canonical JSON of sp
 // with the deployment-only fields zeroed: the study is byte-identical
-// across Workers, QueueDepth, Backend, JournalRing and the checkpoint
-// stride, so a checkpoint cut on one backend or worker count resumes on
-// another. Every other field shapes the study's draws, schedule, or
+// across Workers, QueueDepth, Backend and the checkpoint stride, so a
+// checkpoint cut on one backend or worker count resumes on another. Every other field shapes the study's draws, schedule, or
 // output bytes. A shard's checkpoint captures one residue class of the
 // posting schedule, so the shard position stays in: adopting it into a
 // different position (or an unsharded run) would drop or duplicate
 // sub-streams.
 func specFingerprint(sp state.ShardSpec) string {
 	sp.Workers, sp.QueueDepth = 0, 0
-	sp.Backend, sp.JournalRing, sp.CheckpointEvery, sp.Fingerprint = "", 0, 0, ""
+	sp.Backend, sp.CheckpointEvery, sp.Fingerprint = "", 0, ""
 	sp.Epoch = sp.Epoch.UTC()
 	b, err := json.Marshal(sp)
 	if err != nil {
@@ -217,7 +216,7 @@ func (f *FreePhish) restoreRun(chk *state.Checkpoint) error {
 	// finishRun's canonical sort interleaves them exactly as the
 	// uninterrupted run would have.
 	if f.Metrics.Journal != nil {
-		f.Metrics.Journal = obs.RebuildJournal(f.Clock.Now, f.Config.JournalRing, chk.Snapshot.Events)
+		f.Metrics.Journal = obs.RebuildJournal(f.Clock.Now, obs.DefaultJournalRing, chk.Snapshot.Events)
 	}
 	// 6. Cursors the snapshot cannot rebuild.
 	if chk.Poller != nil {

@@ -78,12 +78,10 @@ type Config struct {
 	// Progress, when set, is invoked after every poll cycle — the hook
 	// long study runs narrate themselves through.
 	Progress func(ProgressEvent)
-	// Logger, when set, receives structured "poll cycle" events every
-	// LogEvery cycles (default: one simulated day's worth of polls) and
-	// any server-shutdown errors at the end of a run.
+	// Logger, when set, receives a structured "poll cycle" event once per
+	// simulated day of polls and any server-shutdown errors at the end of
+	// a run.
 	Logger *slog.Logger
-	// LogEvery is the poll-cycle stride between Logger events.
-	LogEvery int
 	// PollQuota, when > 0, installs an API rate limiter on the poller:
 	// a bucket of PollQuota requests refilled at PollQuotaRate per
 	// second of simulated time. Zero disables limiting (the default).
@@ -117,11 +115,9 @@ type Config struct {
 	// → takedown/re-check) are recorded in Metrics.Journal, with the
 	// canonical sequence byte-identical across Workers × QueueDepth ×
 	// Backend × chaos — the same invariant as the study itself. Off (the
-	// default), the hot path pays only nil checks.
+	// default), the hot path pays only nil checks. Lifecycle events are
+	// retained in full; the ops/tail ring holds obs.DefaultJournalRing.
 	Journal bool
-	// JournalRing bounds the journal's in-memory ops/tail ring (0 =
-	// obs.DefaultJournalRing). Lifecycle events are retained in full.
-	JournalRing int
 	// Cascade, when non-nil, enables the tiered classification cascade: a
 	// fetch-free URL-lexical triage stage runs ahead of fetch, and URLs
 	// with confident lexical verdicts short-circuit without ever being
@@ -199,6 +195,10 @@ func (c Config) scaled(n int) int {
 	}
 	return v
 }
+
+// pollsPerDay is the number of poll cycles in one simulated day, at least
+// one: the stride of Logger events and the default shard checkpoint stride.
+func (c Config) pollsPerDay() int { return max(1, int(24*time.Hour/c.PollInterval)) }
 
 // Stats are the framework's operational counters. They live in
 // internal/state (the mergeable study-state layer); the alias keeps the
@@ -318,7 +318,7 @@ func New(cfg Config) *FreePhish {
 	}
 	f.Metrics = newMetrics(reg, clock.Now, cfg.Epoch)
 	if cfg.Journal {
-		f.Metrics.Journal = obs.NewJournal(clock.Now, cfg.JournalRing)
+		f.Metrics.Journal = obs.NewJournal(clock.Now, obs.DefaultJournalRing)
 	}
 	return f
 }
@@ -458,7 +458,7 @@ func (f *FreePhish) finishRun() {
 	f.State.SortRecords()
 	if j := f.Metrics.Journal; j != nil {
 		f.Metrics.Journal = obs.RebuildJournal(
-			f.Clock.Now, f.Config.JournalRing, obs.SortCanonical(j.Events()))
+			f.Clock.Now, obs.DefaultJournalRing, obs.SortCanonical(j.Events()))
 	}
 }
 
@@ -622,32 +622,13 @@ func (f *FreePhish) fetchProbe(p *probeResult) *probeResult {
 // from fetchURL lets CPU scoring of item i overlap the network wait of
 // item i+k. Like fetchURL it touches only thread-safe state: the intel
 // port, the trained (read-only) models, and atomic metrics. Items that
-// already failed or vanished (status != 200) pass through untouched.
+// already failed or vanished (status != 200) pass through untouched. A
+// cascade short-circuit was never fetched, so it is resolved for its
+// cohort but not scored.
 func (f *FreePhish) classifyURL(p *probeResult) *probeResult {
-	if p.err != nil {
+	lexical := p.tier != baselines.TierFull
+	if p.err != nil || (!lexical && p.status != 200) {
 		return p
-	}
-	if p.tier != baselines.TierFull {
-		// Short-circuited by the triage tier: the page was never fetched,
-		// so there is nothing to score — but the hosting attribution is
-		// still resolved (the intel port's lookup is read-only, like the
-		// full path's) so the apply phase can attribute the cohort.
-		var err error
-		p.info, err = f.world.Intel.Resolve(p.su.URL)
-		if err != nil {
-			p.err = fmt.Errorf("core: resolve %q: %w", p.su.URL, err)
-			return p
-		}
-		if p.info.Hosted {
-			p.cohort = "self-hosted"
-			if p.info.IsFWB {
-				p.cohort = "fwb"
-			}
-		}
-		return p
-	}
-	if p.status != 200 {
-		return p // already gone by the time we crawled it
 	}
 	var err error
 	p.info, err = f.world.Intel.Resolve(p.su.URL)
@@ -661,6 +642,9 @@ func (f *FreePhish) classifyURL(p *probeResult) *probeResult {
 	p.cohort = "self-hosted"
 	if p.info.IsFWB {
 		p.cohort = "fwb"
+	}
+	if lexical {
+		return p
 	}
 	model := f.BaseModel
 	if p.info.IsFWB {
@@ -695,6 +679,9 @@ func (f *FreePhish) classifyURL(p *probeResult) *probeResult {
 // moderation assessments, reporting, and record admission — through the
 // world ports. Keeping this single-threaded in input order is the
 // determinism contract of the parallel pipeline and of the http backend.
+// A cascade short-circuit was never fetched: it has no fetched event and
+// no scanned-URL count, and its lexical verdict is evaluated, reported
+// and admitted through the same tail as a full classification.
 func (f *FreePhish) applyProbe(p *probeResult, now time.Time) error {
 	if p.err != nil {
 		return p.err
@@ -702,82 +689,55 @@ func (f *FreePhish) applyProbe(p *probeResult, now time.Time) error {
 	// Lifecycle tracing records here — the single-threaded, stream-ordered
 	// apply point — never from the concurrent stages, which is what keeps
 	// the canonical journal byte-identical at every concurrency setting.
-	j := f.Metrics.Journal
+	su, j := p.su, f.Metrics.Journal
 	if j != nil {
-		j.Record(p.su.URL, obs.EvPosted, p.su.At,
-			"platform", string(p.su.Platform), "post", p.su.PostID)
-		j.Record(p.su.URL, obs.EvPolled, now)
+		j.Record(su.URL, obs.EvPosted, su.At, "platform", string(su.Platform), "post", su.PostID)
+		j.Record(su.URL, obs.EvPolled, now)
 	}
-	if p.tier != baselines.TierFull {
-		return f.applyLexical(p, now)
+	lexical := p.tier != baselines.TierFull
+	if lexical {
+		f.State.AddLexical(p.tier == baselines.TierPhish)
+	} else {
+		if j != nil {
+			j.Record(su.URL, obs.EvFetched, now, "status", statusLabel(p.status))
+		}
+		if p.status != 200 {
+			return nil
+		}
+		f.State.AddScanned()
 	}
-	if j != nil {
-		j.Record(p.su.URL, obs.EvFetched, now, "status", statusLabel(p.status))
-	}
-	if p.status != 200 {
-		return nil
-	}
-	f.State.AddScanned()
 	if !p.info.Hosted {
 		return nil
 	}
-	su, cohort, score := p.su, p.cohort, p.score
-	flagged := score >= 0.5
+	flagged, score, tier := p.score >= 0.5, p.score, ""
+	if lexical {
+		flagged, score, tier = p.tier == baselines.TierPhish, p.lexScore, "lexical"
+	}
 	if j != nil {
 		verdict := "benign"
 		if flagged {
 			verdict = "phishing"
 		}
-		j.Record(su.URL, obs.EvClassified, now,
-			"cohort", cohort,
-			"score", strconv.FormatFloat(score, 'g', -1, 64),
-			"verdict", verdict,
-			"top", topAttr(p.contrib))
-	}
-	if err := f.eval.observe(su.URL, cohort, flagged); err != nil {
-		return err
-	}
-	if !flagged {
-		return nil
-	}
-	f.State.AddFlagged(p.info.IsFWB)
-	return f.admitRecord(p, score, "", now)
-}
-
-// applyLexical is the apply phase for a cascade short-circuit: the URL
-// was resolved by the triage tier alone and never fetched, so there is no
-// fetched event, no page signature, and no scanned-URL count — but the
-// lexical verdict is evaluated, reported, and admitted to the study
-// through exactly the same ordered machinery as a full classification.
-func (f *FreePhish) applyLexical(p *probeResult, now time.Time) error {
-	f.State.AddLexical(p.tier == baselines.TierPhish)
-	if !p.info.Hosted {
-		return nil
-	}
-	su, cohort := p.su, p.cohort
-	flagged := p.tier == baselines.TierPhish
-	if j := f.Metrics.Journal; j != nil {
-		verdict := "benign"
-		if flagged {
-			verdict = "phishing"
-		}
+		scoreText := strconv.FormatFloat(score, 'g', -1, 64)
 		// The lexical verdict gets its own lifecycle event type: a trace
 		// must show either fetched+classified or classified_lexical,
 		// never a classification without a fetch.
-		j.Record(su.URL, obs.EvClassifiedLexical, now,
-			"cohort", cohort,
-			"score", strconv.FormatFloat(p.lexScore, 'g', -1, 64),
-			"tier", p.tier.String(),
-			"verdict", verdict)
+		if lexical {
+			j.Record(su.URL, obs.EvClassifiedLexical, now,
+				"cohort", p.cohort, "score", scoreText, "tier", p.tier.String(), "verdict", verdict)
+		} else {
+			j.Record(su.URL, obs.EvClassified, now,
+				"cohort", p.cohort, "score", scoreText, "verdict", verdict, "top", topAttr(p.contrib))
+		}
 	}
-	if err := f.eval.observe(su.URL, cohort, flagged); err != nil {
+	if err := f.eval.observe(su.URL, p.cohort, flagged); err != nil {
 		return err
 	}
 	if !flagged {
 		return nil
 	}
 	f.State.AddFlagged(p.info.IsFWB)
-	return f.admitRecord(p, p.lexScore, "lexical", now)
+	return f.admitRecord(p, score, tier, now)
 }
 
 // pageSignature is the page's kit-family signature, from the fetch

@@ -54,10 +54,7 @@ func (f *FreePhish) newDispatcher() *dispatcher {
 	d := &dispatcher{f: f, stride: f.Config.CheckpointEvery, local: NewSpecRunner()}
 	d.local.models[f.trainKey()] = &trainedModels{model: f.Model, base: f.BaseModel, lexical: f.Lexical}
 	if d.stride <= 0 {
-		d.stride = int(24 * time.Hour / f.Config.PollInterval)
-		if d.stride < 1 {
-			d.stride = 1
-		}
+		d.stride = f.Config.pollsPerDay()
 	}
 	for _, ep := range f.Config.ShardWorkers {
 		if ep = strings.TrimSpace(ep); ep != "" {
@@ -357,7 +354,6 @@ func studySpec(cfg Config) state.ShardSpec {
 		Backend:         cfg.Backend,
 		Faults:          cfg.Faults,
 		Journal:         cfg.Journal,
-		JournalRing:     cfg.JournalRing,
 		CheckpointEvery: cfg.CheckpointEvery,
 	}
 	if cfg.Cascade != nil {
@@ -395,7 +391,6 @@ func configFromSpec(sp state.ShardSpec) Config {
 		Backend:         sp.Backend,
 		Faults:          sp.Faults,
 		Journal:         sp.Journal,
-		JournalRing:     sp.JournalRing,
 		Shards:          1,
 		CheckpointEvery: sp.CheckpointEvery,
 	}

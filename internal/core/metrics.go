@@ -311,8 +311,8 @@ type ProgressEvent struct {
 	Flagged, Reports, Records     int
 }
 
-// observeProgress emits the per-cycle progress event and, every LogEvery
-// cycles, a structured slog record.
+// observeProgress emits the per-cycle progress event and, once per
+// simulated day of polls, a structured slog record.
 func (f *FreePhish) observeProgress(now time.Time) {
 	if f.Config.Progress == nil && f.Config.Logger == nil {
 		return
@@ -337,27 +337,17 @@ func (f *FreePhish) observeProgress(now time.Time) {
 	if f.Config.Progress != nil {
 		f.Config.Progress(ev)
 	}
-	if f.Config.Logger != nil {
-		every := f.Config.LogEvery
-		if every <= 0 {
-			// Default: one event per simulated day.
-			every = int(24 * time.Hour / f.Config.PollInterval)
-			if every < 1 {
-				every = 1
-			}
-		}
-		if st.Polls%every == 0 {
-			f.Config.Logger.LogAttrs(context.Background(), slog.LevelInfo, "poll cycle",
-				slog.Time("sim_time", now),
-				slog.Float64("frac_done", ev.Frac),
-				slog.Duration("wall", ev.Wall),
-				slog.Int("polls", ev.Polls),
-				slog.Int("posts_seen", ev.PostsSeen),
-				slog.Int("urls_scanned", ev.URLsScanned),
-				slog.Int("flagged", ev.Flagged),
-				slog.Int("reports", ev.Reports),
-				slog.Int("records", ev.Records),
-			)
-		}
+	if f.Config.Logger != nil && st.Polls%f.Config.pollsPerDay() == 0 {
+		f.Config.Logger.LogAttrs(context.Background(), slog.LevelInfo, "poll cycle",
+			slog.Time("sim_time", now),
+			slog.Float64("frac_done", ev.Frac),
+			slog.Duration("wall", ev.Wall),
+			slog.Int("polls", ev.Polls),
+			slog.Int("posts_seen", ev.PostsSeen),
+			slog.Int("urls_scanned", ev.URLsScanned),
+			slog.Int("flagged", ev.Flagged),
+			slog.Int("reports", ev.Reports),
+			slog.Int("records", ev.Records),
+		)
 	}
 }

@@ -48,7 +48,7 @@ func (f *FreePhish) runSharded() (*analysis.Study, error) {
 	f.State.Restore(merged)
 	if f.Metrics.Journal != nil {
 		f.Metrics.Journal = obs.RebuildJournal(
-			f.Clock.Now, f.Config.JournalRing, merged.Events)
+			f.Clock.Now, obs.DefaultJournalRing, merged.Events)
 	}
 	return f.State.Study(), nil
 }

@@ -3,12 +3,13 @@
 // minutes for new posts, extracting URLs with the streaming regex, and
 // capturing full website snapshots over HTTP for feature extraction.
 //
-// All network access is real net/http. Because the simulated web serves
-// every domain from one listener, the Fetcher rewrites the dial target to
-// the simulation endpoint while preserving the original URL in the Host
-// header — the same pattern used to point a crawler at a staging mirror.
-// A Poller may instead read its pages in process through a PageSource,
-// and a Fetcher its snapshots through a SnapshotSource.
+// A Poller reads every page through one PageSource and a Fetcher every
+// snapshot through one SnapshotSource. Either may serve in process; left
+// nil, each defaults to real net/http. Because the simulated web serves
+// every domain from one listener, the HTTP snapshot source rewrites the
+// dial target to the simulation endpoint while preserving the original
+// URL in the Host header — the same pattern used to point a crawler at a
+// staging mirror.
 package crawler
 
 import (
@@ -40,11 +41,11 @@ type StreamedURL struct {
 	At       time.Time
 }
 
-// PageSource serves one page of a platform's posts in process, in place
-// of GET {endpoint}/posts?since=…&offset=…: the page social.Network.Page
-// returns and whether another page follows. since arrives truncated to
-// whole seconds, as the RFC3339 query carries it. An error fails the
-// attempt; one marked retry.Transient is retried.
+// PageSource serves one page of a platform's posts, as GET
+// {endpoint}/posts?since=…&offset=… answers it: the page
+// social.Network.Page returns and whether another page follows. since
+// arrives truncated to whole seconds, as the RFC3339 query carries it. An
+// error fails the attempt; one marked retry.Transient is retried.
 type PageSource func(plat threat.Platform, since time.Time, offset int) ([]*social.Post, bool, error)
 
 // maxPageBytes caps one HTTP poll page body: MaxPageSize posts at 16 KiB
@@ -59,9 +60,9 @@ type Poller struct {
 	// Pages set, only its keys matter: they name the platforms polled.
 	Endpoints map[threat.Platform]string
 	Client    *http.Client
-	// Pages, when set, serves every page in process instead of over
-	// Client. Paging, dedup, cursors, the limiter, retries and the
-	// counters behave exactly as on the HTTP path.
+	// Pages serves every page. nil means a GET over Client of each
+	// platform's endpoint; paging, dedup, cursors, the limiter, retries
+	// and the counters do not depend on the source.
 	Pages PageSource
 	// Limiter, when set, gates API requests (platform quota regimes). A
 	// denied platform is skipped for the cycle; its cursor does not
@@ -118,14 +119,6 @@ func NewPoller(endpoints map[threat.Platform]string, client *http.Client, start 
 // SeenLen reports how many post IDs the dedup set currently retains.
 func (p *Poller) SeenLen() int { return p.seen.Len() }
 
-// apiPost mirrors the social API's JSON shape.
-type apiPost struct {
-	ID       string          `json:"id"`
-	Platform threat.Platform `json:"platform"`
-	Text     string          `json:"text"`
-	At       time.Time       `json:"created_at"`
-}
-
 // Poll fetches posts newer than each platform cursor, extracts their URLs,
 // deduplicates across polls, and advances the cursors to now. Platforms are
 // polled in name order so downstream randomness stays reproducible.
@@ -172,15 +165,17 @@ func (p *Poller) Poll(now time.Time) ([]StreamedURL, error) {
 			}
 			for _, post := range posts {
 				nPosts++
-				if p.seen.Has(post.ID) {
+				id := jsonText(post.ID)
+				if p.seen.Has(id) {
 					nDup++
 					continue
 				}
-				p.seen.Add(post.ID)
-				for _, raw := range urlx.ExtractURLs(post.Text) {
+				p.seen.Add(id)
+				text := jsonText(post.Text)
+				for _, raw := range urlx.ExtractURLs(text) {
 					nURLs++
 					out = append(out, StreamedURL{
-						URL: raw, Platform: plat, PostID: post.ID, Text: post.Text, At: post.At,
+						URL: raw, Platform: plat, PostID: id, Text: text, At: post.At,
 					})
 				}
 			}
@@ -207,31 +202,21 @@ func (p *Poller) Poll(now time.Time) ([]StreamedURL, error) {
 	return out, nil
 }
 
-// page fetches one page of plat's posts newer than its cursor, from
-// Pages when set and over HTTP otherwise, retrying transient failures
-// under the unified policy before the cycle gives up on the platform.
-func (p *Poller) page(plat threat.Platform, offset int) (posts []apiPost, more bool, err error) {
-	if p.Pages == nil {
-		u := fmt.Sprintf("%s/posts?since=%s&offset=%d", p.Endpoints[plat],
-			url.QueryEscape(p.cursor[plat].Format(time.RFC3339)), offset)
-		return p.fetchPage(plat, u)
+// page fetches one page of plat's posts newer than its cursor from Pages,
+// or over HTTP when Pages is nil, retrying transient failures under the
+// unified policy before the cycle gives up on the platform. The cursor
+// goes out truncated to whole seconds, as the RFC3339 query carries it.
+func (p *Poller) page(plat threat.Platform, offset int) (posts []*social.Post, more bool, err error) {
+	src := p.Pages
+	if src == nil {
+		src = p.httpPage
 	}
 	since := p.cursor[plat].Truncate(time.Second)
-	op := func() error {
-		page, m, err := p.Pages(plat, since, offset)
-		if err != nil {
-			return err
-		}
-		more = m
-		if len(page) > 0 {
-			posts = make([]apiPost, len(page))
-			for i, post := range page {
-				posts[i] = apiPost{ID: jsonText(post.ID), Text: jsonText(post.Text), At: post.At}
-			}
-		}
-		return nil
-	}
-	err = p.retry(plat, op)
+	err = p.retry(plat, func() error {
+		var err error
+		posts, more, err = src(plat, since, offset)
+		return err
+	})
 	return posts, more, err
 }
 
@@ -269,39 +254,39 @@ func (p *Poller) retry(plat threat.Platform, op func() error) error {
 	return p.Retry.Do(context.Background(), key, op)
 }
 
-// fetchPage fetches and decodes one page of a platform's posts API. A
-// transport error, 5xx answer or undecodable body is transient; a body
-// longer than maxPageBytes is not, since the same page would come back.
-func (p *Poller) fetchPage(plat threat.Platform, u string) (posts []apiPost, more bool, err error) {
-	op := func() error {
-		resp, err := p.Client.Get(u)
-		if err != nil {
-			return retry.Transient(fmt.Errorf("crawler: poll %s: %w", plat, err))
-		}
-		if resp.StatusCode != http.StatusOK {
-			_, _ = io.Copy(io.Discard, io.LimitReader(resp.Body, 4096))
-			resp.Body.Close()
-			err := fmt.Errorf("crawler: poll %s: status %d", plat, resp.StatusCode)
-			if resp.StatusCode >= 500 {
-				return retry.Transient(err)
-			}
-			return err
-		}
-		posts = nil
-		derr := json.NewDecoder(http.MaxBytesReader(nil, resp.Body, maxPageBytes)).Decode(&posts)
-		more = resp.Header.Get("X-More") == "1"
-		resp.Body.Close()
-		var tooLarge *http.MaxBytesError
-		if errors.As(derr, &tooLarge) {
-			return fmt.Errorf("crawler: %s feed page over %d bytes: %w", plat, tooLarge.Limit, derr)
-		}
-		if derr != nil {
-			return retry.Transient(fmt.Errorf("crawler: decode %s feed: %w", plat, derr))
-		}
-		return nil
+// httpPage is the PageSource over Client: GET {endpoint}/posts?since=…&offset=…
+// decoded from the posts API's JSON. A transport error, 5xx answer or
+// undecodable body is transient; a body longer than maxPageBytes is not,
+// since the same page would come back.
+func (p *Poller) httpPage(plat threat.Platform, since time.Time, offset int) ([]*social.Post, bool, error) {
+	u := fmt.Sprintf("%s/posts?since=%s&offset=%d", p.Endpoints[plat],
+		url.QueryEscape(since.Format(time.RFC3339)), offset)
+	resp, err := p.Client.Get(u)
+	if err != nil {
+		return nil, false, retry.Transient(fmt.Errorf("crawler: poll %s: %w", plat, err))
 	}
-	err = p.retry(plat, op)
-	return posts, more, err
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		_, _ = io.Copy(io.Discard, io.LimitReader(resp.Body, 4096))
+		err := fmt.Errorf("crawler: poll %s: status %d", plat, resp.StatusCode)
+		if resp.StatusCode >= 500 {
+			return nil, false, retry.Transient(err)
+		}
+		return nil, false, err
+	}
+	var posts []*social.Post
+	err = json.NewDecoder(http.MaxBytesReader(nil, resp.Body, maxPageBytes)).Decode(&posts)
+	var tooLarge *http.MaxBytesError
+	if errors.As(err, &tooLarge) {
+		return nil, false, fmt.Errorf("crawler: %s feed page over %d bytes: %w", plat, tooLarge.Limit, err)
+	}
+	if err == nil && slices.Contains(posts, nil) {
+		err = errors.New("null post")
+	}
+	if err != nil {
+		return nil, false, retry.Transient(fmt.Errorf("crawler: decode %s feed: %w", plat, err))
+	}
+	return posts, resp.Header.Get("X-More") == "1", nil
 }
 
 // ChromiumUA is the User-Agent the snapshotter presents. The paper's

@@ -239,3 +239,34 @@ func TestEmptyDirectPollAllocatesNothing(t *testing.T) {
 		t.Errorf("an empty direct poll cycle allocates %v times, want 0", allocs)
 	}
 }
+
+// TestBusyDirectPollAddsNoPageAllocation: the poller reads an in-process
+// page's posts where the source holds them, with no per-page copy. The
+// source re-delivers two full pages of posts the poller has already seen,
+// so a cycle pages through every post yet streams nothing, and any
+// allocation left is the poll path's own.
+func TestBusyDirectPollAddsNoPageAllocation(t *testing.T) {
+	nw := social.NewNetwork(threat.Twitter, func() time.Time { return epoch })
+	for i := 0; i < 2*social.MaxPageSize; i++ {
+		nw.Publish(fmt.Sprintf("post %d https://p%d.weebly.com/", i, i), epoch)
+	}
+	all := nw.Since(time.Time{})
+	p := NewPoller(map[threat.Platform]string{threat.Twitter: ""}, nil, epoch)
+	p.Pages = func(_ threat.Platform, _ time.Time, offset int) ([]*social.Post, bool, error) {
+		end := min(offset+social.MaxPageSize, len(all))
+		return all[offset:end], end < len(all), nil
+	}
+	now := epoch
+	if urls, err := p.Poll(now); err != nil || len(urls) != len(all) {
+		t.Fatalf("first poll streamed %d URLs (err %v), want %d", len(urls), err, len(all))
+	}
+	allocs := testing.AllocsPerRun(100, func() {
+		now = now.Add(10 * time.Minute)
+		if urls, err := p.Poll(now); err != nil || len(urls) != 0 {
+			t.Fatalf("re-delivery streamed %d URLs (err %v), want 0", len(urls), err)
+		}
+	})
+	if allocs != 0 {
+		t.Errorf("a poll of 2 re-delivered pages allocates %v times, want 0", allocs)
+	}
+}

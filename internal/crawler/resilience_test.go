@@ -113,6 +113,28 @@ func TestPollerOversizedPageFailsCycle(t *testing.T) {
 	}
 }
 
+// TestPollerNullPostFailsCycle: a page holding a JSON null where a post
+// belongs is an undecodable body, retried and then failed like any other,
+// never a post the poll loop dereferences.
+func TestPollerNullPostFailsCycle(t *testing.T) {
+	var calls atomic.Int64
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		calls.Add(1)
+		io.WriteString(w, `[{"id":"twitter-1","text":"x https://a.weebly.com/","created_at":"2022-11-01T00:01:00Z"},null]`)
+	}))
+	defer srv.Close()
+
+	p := NewPoller(map[threat.Platform]string{threat.Twitter: srv.URL}, nil, epoch)
+	p.Retry = &retry.Policy{MaxAttempts: 2, Sleep: retry.NoSleep}
+	out, err := p.Poll(epoch.Add(10 * time.Minute))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(out) != 0 || p.Failed != 1 || calls.Load() != 2 {
+		t.Fatalf("null post streamed %d URLs, Failed = %d, fetched %d times; want 0, 1 and 2", len(out), p.Failed, calls.Load())
+	}
+}
+
 // TestPollerRetryAbsorbsFlakyAPI: with the unified policy wired, a 5xx
 // burst shorter than the retry budget costs nothing — the cycle still
 // delivers its posts and counts no failure.

@@ -22,7 +22,7 @@ import (
 // shape the operator asked for (the study is byte-identical across all of
 // them — the worker may override Workers for its own hardware). A spec
 // that still carries a retired field, such as the former
-// snapshot_cache_size, decodes: unknown keys are ignored.
+// snapshot_cache_size or journal_ring, decodes: unknown keys are ignored.
 type ShardSpec struct {
 	Seed     int64         `json:"seed"`
 	Epoch    time.Time     `json:"epoch"`
@@ -52,8 +52,7 @@ type ShardSpec struct {
 	// from, so a remote shard draws the identical fault schedule.
 	Faults *faults.Profile `json:"faults,omitempty"`
 
-	Journal     bool `json:"journal,omitempty"`
-	JournalRing int  `json:"journal_ring,omitempty"`
+	Journal bool `json:"journal,omitempty"`
 
 	// CascadeOn carries Config.Cascade != nil; the thresholds ride along so
 	// the runner rebuilds the identical triage tier.
