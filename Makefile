@@ -83,13 +83,15 @@ VERIFY_resume := TestResumeByteIdentical|TestCheckpointCutsMatchReference|TestRe
 # byte-identical to in-process dispatch — at shards 2 and 4, on both
 # backends, under the default chaos profile — and a dead endpoint must
 # fail over to local dispatch through the per-worker circuit breaker.
-# Every Config field must travel through the spec (or be allowlisted as
-# deployment-only), every study-shaping spec field must move the
-# fingerprint, a spec with every travelling knob set must keep its pinned
-# wire and fingerprint bytes, and a spec with an out-of-range shard
-# position must be refused. A spec or adoption checkpoint that still carries the retired
+# Config may declare only the embedded spec and its deployment-only
+# hooks, every spec field must survive the wire, every study-shaping spec
+# field must move the fingerprint, a spec with every travelling knob set
+# must keep its pinned wire and fingerprint bytes, an unsharded run must
+# keep its pinned checkpoint fingerprint, and a spec with an out-of-range
+# shard position or an oversized workers or queue_depth must be refused.
+# A spec or adoption checkpoint that still carries the retired
 # snapshot_cache_size key must decode, fingerprint the same and run.
-VERIFY_remote-shards := TestRemoteShardDeterminism|TestWorkerBreakerFailover|TestConfigSpecRoundTrip|TestSpecFingerprintFields|TestSpecBytesPinned|TestSpecRunnerRejectsShardOutOfRange|TestRetiredSnapshotCacheSizeDecodes
+VERIFY_remote-shards := TestRemoteShardDeterminism|TestWorkerBreakerFailover|TestConfigSpecRoundTrip|TestSpecFingerprintFields|TestSpecBytesPinned|TestUnshardedFingerprintPinned|TestSpecRunnerRejectsShardOutOfRange|TestSpecRunnerRejectsOversizedSpec|TestRetiredSnapshotCacheSizeDecodes
 # adoption: a shard runner killed mid-run (local panic or remote
 # connection death) must be replaced by a runner that resumes from the
 # dead runner's last streamed checkpoint — never from scratch — and the

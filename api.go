@@ -232,11 +232,10 @@ func RunStudy(cfg StudyConfig) (*StudyResult, error) {
 	}
 	c.Faults = prof
 	c.Journal = cfg.Journal
-	cascade, err := core.ParseCascade(cfg.Cascade)
+	c.CascadeBenignBelow, c.CascadePhishAbove, c.CascadeOn, err = baselines.ParseCascadeThresholds(cfg.Cascade)
 	if err != nil {
 		return nil, fmt.Errorf("freephish: bad cascade spec: %w", err)
 	}
-	c.Cascade = cascade
 	if cfg.Progress != nil {
 		hook := cfg.Progress
 		c.Progress = func(ev core.ProgressEvent) {

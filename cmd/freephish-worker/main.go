@@ -38,7 +38,7 @@ import (
 func main() {
 	var (
 		listen  = flag.String("listen", "127.0.0.1:7001", "address to serve shard dispatches on")
-		workers = flag.Int("workers", 0, "probe/training worker pool size on this machine; 0 = one per CPU (shard output is byte-identical at every setting)")
+		workers = flag.Int("workers", 0, fmt.Sprintf("probe/training worker pool size on this machine; 0 = the dispatched spec's own size, refused above %d (0 in the spec = one per CPU; shard output is byte-identical at every setting)", core.MaxSpecParallelism))
 	)
 	flag.Parse()
 

@@ -74,11 +74,10 @@ func main() {
 		log.Fatal(err)
 	}
 	cfg.Faults = prof
-	casc, err := core.ParseCascade(*cascade)
+	cfg.CascadeBenignBelow, cfg.CascadePhishAbove, cfg.CascadeOn, err = baselines.ParseCascadeThresholds(*cascade)
 	if err != nil {
 		log.Fatal(err)
 	}
-	cfg.Cascade = casc
 	cfg.CheckpointPath = *ckptPath
 	cfg.CheckpointEvery = *ckptEvery
 	if *resumePath != "" {

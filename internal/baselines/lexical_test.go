@@ -165,6 +165,7 @@ func TestParseCascadeThresholds(t *testing.T) {
 		{"off", 0, 0, false, false},
 		{"OFF", 0, 0, false, false},
 		{"none", 0, 0, false, false},
+		{"false", 0, 0, false, false},
 		{"on", DefaultBenignBelow, DefaultPhishAbove, true, false},
 		{"default", DefaultBenignBelow, DefaultPhishAbove, true, false},
 		{"0.1,0.9", 0.1, 0.9, true, false},
@@ -181,8 +182,8 @@ func TestParseCascadeThresholds(t *testing.T) {
 	for _, c := range cases {
 		lo, hi, on, err := ParseCascadeThresholds(c.spec)
 		if c.err {
-			if err == nil {
-				t.Errorf("ParseCascadeThresholds(%q): want error, got lo=%v hi=%v on=%v", c.spec, lo, hi, on)
+			if err == nil || on {
+				t.Errorf("ParseCascadeThresholds(%q) = (%v, %v, %v, %v): want an error and the cascade off", c.spec, lo, hi, on, err)
 			}
 			continue
 		}

@@ -9,18 +9,20 @@ import (
 	"strings"
 	"testing"
 
+	"freephish/internal/baselines"
 	"freephish/internal/faults"
 	"freephish/internal/obs"
 )
 
 // cascadeRun executes one cascade-enabled traced study and returns the
 // study records JSONL, the canonical journal JSONL, and the run's stats.
-func cascadeRun(t *testing.T, workers, depth int, backend string, prof *faults.Profile, cascade *CascadeConfig) (records, journal []byte, stats Stats) {
+// cascade is a -cascade flag spec.
+func cascadeRun(t *testing.T, workers, depth int, backend string, prof *faults.Profile, cascade string) (records, journal []byte, stats Stats) {
 	t.Helper()
 	cfg := streamSweepConfig(workers, depth, backend)
 	cfg.Journal = true
 	cfg.Faults = prof
-	cfg.Cascade = cascade
+	setCascade(t, &cfg, cascade)
 	f := newCached(cfg)
 	study, err := f.Run()
 	if err != nil {
@@ -37,6 +39,16 @@ func cascadeRun(t *testing.T, workers, depth int, backend string, prof *faults.P
 		t.Fatal(err)
 	}
 	return rbuf.Bytes(), jbuf.Bytes(), f.Stats()
+}
+
+// setCascade sets cfg's cascade fields from a -cascade flag spec.
+func setCascade(t *testing.T, cfg *Config, spec string) {
+	t.Helper()
+	var err error
+	cfg.CascadeBenignBelow, cfg.CascadePhishAbove, cfg.CascadeOn, err = baselines.ParseCascadeThresholds(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
 }
 
 func diffCascadeRun(t *testing.T, label string, wantRec, gotRec, wantJournal, gotJournal []byte, wantStats, gotStats Stats) {
@@ -81,50 +93,6 @@ func cascadeDigest(t *testing.T, records, journal []byte, stats Stats) string {
 	return hex.EncodeToString(h.Sum(nil))
 }
 
-// TestParseCascade pins the core-level wrapper: off specs map to a nil
-// config (cascade disabled), valid specs map to the parsed thresholds,
-// and every baselines-level parse failure — malformed pair, inverted
-// band, out-of-range threshold — propagates as an error with the core
-// prefix rather than a half-built config.
-func TestParseCascade(t *testing.T) {
-	for _, spec := range []string{"", "off", "none", "false"} {
-		c, err := ParseCascade(spec)
-		if err != nil || c != nil {
-			t.Errorf("ParseCascade(%q) = (%v, %v), want (nil, nil)", spec, c, err)
-		}
-	}
-	c, err := ParseCascade("on")
-	if err != nil || c == nil {
-		t.Fatalf("ParseCascade(on) = (%v, %v)", c, err)
-	}
-	if def := DefaultCascade(); *c != *def {
-		t.Errorf("ParseCascade(on) = %+v, want defaults %+v", c, def)
-	}
-	c, err = ParseCascade("0.25,0.75")
-	if err != nil || c == nil || c.BenignBelow != 0.25 || c.PhishAbove != 0.75 {
-		t.Fatalf("ParseCascade(0.25,0.75) = (%+v, %v)", c, err)
-	}
-	for _, spec := range []string{
-		"0.5",      // missing comma
-		"0.9,0.1",  // inverted band
-		"-0.1,0.9", // below zero
-		"0.1,1.1",  // above one
-		"x,0.9",    // unparsable threshold
-	} {
-		c, err := ParseCascade(spec)
-		if err == nil {
-			t.Errorf("ParseCascade(%q) = %+v, want error", spec, c)
-			continue
-		}
-		if c != nil {
-			t.Errorf("ParseCascade(%q) returned a config alongside the error: %+v", spec, c)
-		}
-		if !strings.HasPrefix(err.Error(), "core: ") {
-			t.Errorf("ParseCascade(%q) error %q lacks the core prefix", spec, err)
-		}
-	}
-}
-
 // TestCascadeDeterminism is the cascade half of the `make verify-cascade`
 // gate: with the cascade on at a fixed threshold pair, the study records
 // AND the lifecycle journal must stay byte-identical across workers ×
@@ -133,7 +101,7 @@ func TestParseCascade(t *testing.T) {
 // concurrent triage stage, but they are pure functions of the URL string,
 // and every stateful effect still lands in the ordered apply phase.
 func TestCascadeDeterminism(t *testing.T) {
-	cascade := DefaultCascade()
+	const cascade = "on"
 	baseRec, baseJournal, baseStats := cascadeRun(t, 1, 1, BackendInproc, nil, cascade)
 
 	// Non-vacuous: the triage tier actually short-circuited traffic, the
@@ -192,9 +160,8 @@ func TestCascadeDeterminism(t *testing.T) {
 // (including training the extra lexical model) perturbs nothing outside
 // the short-circuits themselves.
 func TestCascadeDegenerateEquivalence(t *testing.T) {
-	offRec, offJournal, offStats := cascadeRun(t, 2, 4, BackendInproc, nil, nil)
-	degRec, degJournal, degStats := cascadeRun(t, 2, 4, BackendInproc, nil,
-		&CascadeConfig{BenignBelow: 0, PhishAbove: 1})
+	offRec, offJournal, offStats := cascadeRun(t, 2, 4, BackendInproc, nil, "off")
+	degRec, degJournal, degStats := cascadeRun(t, 2, 4, BackendInproc, nil, "0,1")
 	if degStats.LexicalBenign+degStats.LexicalPhish != 0 {
 		t.Fatalf("degenerate cascade short-circuited %d URLs, want 0",
 			degStats.LexicalBenign+degStats.LexicalPhish)
@@ -211,7 +178,7 @@ func TestCascadeDegenerateEquivalence(t *testing.T) {
 // the empty page's: an empty, non-nil signature.
 func TestLexicalAdmissionSignature(t *testing.T) {
 	cfg := streamSweepConfig(2, 4, BackendInproc)
-	cfg.Cascade = DefaultCascade()
+	setCascade(t, &cfg, "on")
 	f := newCached(cfg)
 	study, err := f.Run()
 	if err != nil {

@@ -127,8 +127,10 @@ const fingerprintVersion = "v2"
 
 // fingerprint renders the determinism-relevant configuration of this run
 // — the study spec plus its shard position — as specFingerprint does.
+// The position is this framework's own (shard 0 of 0 unless it is a shard
+// child), whatever Config.Shard and Config.Shards hold.
 func (f *FreePhish) fingerprint() string {
-	sp := studySpec(f.Config)
+	sp := f.Config.ShardSpec
 	sp.Shard, sp.Shards = f.shardIndex, f.shardCount
 	return specFingerprint(sp)
 }

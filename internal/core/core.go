@@ -34,43 +34,15 @@ import (
 	"freephish/internal/world"
 )
 
-// Config parameterizes a measurement study. The defaults reproduce the
-// paper's six-month run; Scale shrinks every population proportionally for
-// fast experimentation.
+// Config parameterizes a measurement study. The study knobs are the
+// embedded state.ShardSpec's fields, declared and documented there once,
+// so every knob reaches a shard — local or remote — unchanged and is
+// fingerprinted by construction. Config itself declares only the hooks of
+// this deployment, which never travel: observability, the coordinator's
+// remote workers, and the operator checkpoint file. Run ignores the
+// embedded Shard and Fingerprint (see state.ShardSpec).
 type Config struct {
-	Seed  int64
-	Epoch time.Time
-	// Duration of the measurement window (paper: six months).
-	Duration time.Duration
-	// Population sizes at Scale 1.0 (paper: 19,724 + 11,681 FWB URLs and a
-	// matched self-hosted sample with the same platform split).
-	FWBTwitter   int
-	FWBFacebook  int
-	SelfTwitter  int
-	SelfFacebook int
-	// BenignPerPhish is the ratio of benign FWB posts mixed into the
-	// stream — the noise the classifier must reject in the wild.
-	BenignPerPhish float64
-	// Scale in (0, 1] multiplies every population.
-	Scale float64
-	// PollInterval is the streaming module's cadence (paper: 10 minutes).
-	PollInterval time.Duration
-	// TrainPerClass is the ground-truth corpus size per class (paper:
-	// 4,656 manually verified per class).
-	TrainPerClass int
-	// GrowthExponent >1 makes the posting rate rise over the window,
-	// matching the upward trend of Figure 1.
-	GrowthExponent float64
-	// MonitorInterval, when non-zero, enables the §4.4 active monitor:
-	// every flagged URL is re-probed over HTTP and checked against the
-	// blocklist lookup APIs at this cadence for a week. The paper uses 10
-	// minutes; 6h keeps full-scale runs tractable.
-	MonitorInterval time.Duration
-	// ReshareRate is the expected number of additional posts re-sharing
-	// each phishing URL (retweets/cross-posts). The analysis keys on a
-	// URL's FIRST appearance, so reshares exercise the dedup path without
-	// inflating the record set.
-	ReshareRate float64
+	state.ShardSpec
 	// Registry receives the run's metrics. nil gives each FreePhish a
 	// private registry, so concurrent studies never collide; pass a
 	// shared registry to expose the run on a daemon's /metrics endpoint.
@@ -82,57 +54,6 @@ type Config struct {
 	// simulated day of polls and any server-shutdown errors at the end of
 	// a run.
 	Logger *slog.Logger
-	// PollQuota, when > 0, installs an API rate limiter on the poller:
-	// a bucket of PollQuota requests refilled at PollQuotaRate per
-	// second of simulated time. Zero disables limiting (the default).
-	PollQuota     int
-	PollQuotaRate float64
-	// Workers bounds the pipeline's probe pool (snapshot + feature
-	// extraction + inference run concurrently across a cycle's fresh URLs)
-	// and the trainers' parallelism; 0 means runtime.GOMAXPROCS(0). Every
-	// study output is bit-identical at every setting: probes are pure, and
-	// all stateful effects — stats, RNG draws, reporting, record admission
-	// — are applied single-threaded in stream order (see pollOnce).
-	Workers int
-	// QueueDepth bounds the streaming pipeline's per-stage queues and the
-	// reorder window (see internal/pipe): memory per cycle is O(Workers +
-	// QueueDepth), never O(cycle size), and a stalled fetch backpressures
-	// the stream instead of buffering it. 0 means pipe.DefaultDepth. Like
-	// Workers, the study is bit-identical at every setting.
-	QueueDepth int
-	// Backend selects how the pipeline reaches the world: BackendInproc
-	// (the default; handler dispatch, zero sockets) or BackendHTTP (real
-	// loopback servers for the web, the platform APIs, the blocklist
-	// feeds, and the SimAPI). The study is bit-identical either way.
-	Backend string
-	// Faults, when non-nil, injects seeded chaos — latency, 5xx bursts,
-	// connection resets, corrupted bodies, endpoint blackouts — into every
-	// world boundary. The unified retry layer absorbs the default profile
-	// completely: the study stays byte-identical to a fault-free run.
-	Faults *faults.Profile
-	// Journal enables per-URL lifecycle tracing: every URL's transitions
-	// (posted → observed-in-CT → polled → fetched → classified → reported
-	// → takedown/re-check) are recorded in Metrics.Journal, with the
-	// canonical sequence byte-identical across Workers × QueueDepth ×
-	// Backend × chaos — the same invariant as the study itself. Off (the
-	// default), the hot path pays only nil checks. Lifecycle events are
-	// retained in full; the ops/tail ring holds obs.DefaultJournalRing.
-	Journal bool
-	// Cascade, when non-nil, enables the tiered classification cascade: a
-	// fetch-free URL-lexical triage stage runs ahead of fetch, and URLs
-	// with confident lexical verdicts short-circuit without ever being
-	// snapshotted (see cascade.go). Like every other scaling knob the
-	// study stays byte-identical across Workers × QueueDepth × Backend ×
-	// chaos for any fixed threshold pair.
-	Cascade *CascadeConfig
-	// Shards, when > 1, splits the study across N independent sub-streams:
-	// the posting schedule is partitioned by global event ordinal, each
-	// shard runs its own full pipeline (clock, world, servers, pipe
-	// graphs) over its residue class, and the coordinator merges the
-	// shard snapshots (see internal/state) into records, observations,
-	// stats, and a canonical journal byte-identical to the 1-shard run.
-	// 0 and 1 mean an ordinary single-process study.
-	Shards int
 	// ShardWorkers lists remote shard-worker endpoints ("host:port" or
 	// http:// URLs) the coordinator may dispatch shards to (see
 	// dispatch.go). Dispatch goes through the unified retry policy with a
@@ -147,15 +68,11 @@ type Config struct {
 	// path at ordered-apply boundaries — after a poll cycle or monitor
 	// tick, with no other event pending at the same instant — so a killed
 	// run resumes from the last cut instead of restarting the window.
-	// Not supported with Shards > 1: the shard coordinator streams and
-	// adopts per-shard checkpoints itself (see dispatch.go), and an
-	// operator file would capture only one shard's slice of the study.
+	// CheckpointEvery sets the stride. Not supported with Shards > 1: the
+	// shard coordinator streams and adopts per-shard checkpoints itself
+	// (see dispatch.go), and an operator file would capture only one
+	// shard's slice of the study.
 	CheckpointPath string
-	// CheckpointEvery is the poll-cycle stride between checkpoints; 0 or 1
-	// checkpoints at every eligible boundary. With Shards > 1 it instead
-	// sets the stride of the checkpoints each shard streams back to the
-	// coordinator for failover adoption (default: one simulated day).
-	CheckpointEvery int
 	// Resume, when non-nil, resumes the study from a checkpoint instead of
 	// starting at the epoch: the posting schedule replays deterministically
 	// to the checkpoint instant, recorded outcomes are re-applied to the
@@ -169,7 +86,7 @@ type Config struct {
 
 // DefaultConfig returns the paper-faithful configuration.
 func DefaultConfig() Config {
-	return Config{
+	return Config{ShardSpec: state.ShardSpec{
 		Seed:           1,
 		Epoch:          time.Date(2022, 11, 1, 0, 0, 0, 0, time.UTC),
 		Duration:       182 * 24 * time.Hour,
@@ -184,7 +101,7 @@ func DefaultConfig() Config {
 		GrowthExponent: 1.6,
 		ReshareRate:    0.4,
 		Backend:        BackendInproc,
-	}
+	}}
 }
 
 // scaled applies Scale to a population.
@@ -223,7 +140,7 @@ type FreePhish struct {
 	Model     *baselines.StackDetector // augmented FreePhish classifier
 	BaseModel *baselines.StackDetector // base StackModel (self-hosted cohort)
 	// Lexical is the cascade's URL-only triage scorer, trained alongside
-	// the full models when Config.Cascade is set (nil otherwise).
+	// the full models when Config.CascadeOn is set (nil otherwise).
 	Lexical *baselines.LexicalScorer
 	// State is the run's mutable outcome — counters, record set, monitor
 	// observations, and the stream dedup set. Every stateful effect goes
@@ -256,7 +173,7 @@ type FreePhish struct {
 	// wrapWorld, when set, decorates the world ports after backend wiring;
 	// tests inject poll failures and observe port traffic through it.
 	wrapWorld func(world.World) world.World
-	// cascade pairs Lexical with Config.Cascade's thresholds (nil when the
+	// cascade pairs Lexical with Config's cascade thresholds (nil when the
 	// cascade is off); Run builds it. Read-only — stage workers share it.
 	cascade *baselines.Cascade
 
@@ -325,8 +242,8 @@ func New(cfg Config) *FreePhish {
 
 // Train builds the ground-truth corpus (§4.2) and fits both the augmented
 // FreePhish model and the base StackModel used to select the self-hosted
-// comparison cohort, plus the cascade's lexical scorer when Config.Cascade
-// is set. It trains on every call; Run trains only when no models are set.
+// comparison cohort, plus the cascade's lexical scorer when
+// Config.CascadeOn is set. It trains on every call; Run trains only when no models are set.
 func (f *FreePhish) Train() error {
 	train := f.train
 	if train == nil {
@@ -356,7 +273,7 @@ func (f *FreePhish) Run() (*analysis.Study, error) {
 		}
 	}
 	f.runStart = time.Now()
-	if f.Model == nil || f.BaseModel == nil || (f.Config.Cascade != nil && f.Lexical == nil) {
+	if f.Model == nil || f.BaseModel == nil || (f.Config.CascadeOn && f.Lexical == nil) {
 		sp := f.Metrics.Tracer.Start("train")
 		err := f.Train()
 		sp.EndErr(err)
@@ -364,8 +281,8 @@ func (f *FreePhish) Run() (*analysis.Study, error) {
 			return nil, err
 		}
 	}
-	if c := f.Config.Cascade; c != nil {
-		f.cascade = &baselines.Cascade{Scorer: f.Lexical, BenignBelow: c.BenignBelow, PhishAbove: c.PhishAbove}
+	if f.Config.CascadeOn {
+		f.cascade = &baselines.Cascade{Scorer: f.Lexical, BenignBelow: f.Config.CascadeBenignBelow, PhishAbove: f.Config.CascadePhishAbove}
 	}
 	if f.Config.Shards > 1 {
 		return f.runSharded()

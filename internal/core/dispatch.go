@@ -187,11 +187,17 @@ func (d *dispatcher) attempt(client *shardrpc.Client, i, attempt int, spec shard
 // runner's rebuilt child will compute — so a drifted worker refuses the
 // spec instead of running a different study.
 func (f *FreePhish) shardSpec(i, stride int) state.ShardSpec {
-	sp := studySpec(f.Config)
+	sp := f.Config.ShardSpec
 	sp.Shard, sp.Shards, sp.CheckpointEvery = i, f.Config.Shards, stride
 	sp.Fingerprint = specFingerprint(sp)
 	return sp
 }
+
+// MaxSpecParallelism bounds a spec's Workers and QueueDepth. Both arrive
+// over the network and size per-stage goroutine pools, channels and the
+// trainers' parallelism, so SpecRunner refuses a spec above it before it
+// builds or trains anything.
+const MaxSpecParallelism = 1024
 
 // SpecRunner is the one shard.Runner that executes shards: it rebuilds a
 // complete framework from each spec, runs it to completion, audits its
@@ -240,11 +246,22 @@ func (r *SpecRunner) Run(ctx context.Context, spec shard.Spec, onCheckpoint func
 // worker crash) is converted to an error so the adoption loop can hand
 // the streamed checkpoint to a replacement instead of unwinding the study.
 func (r *SpecRunner) run(spec shard.Spec, onCheckpoint func(data []byte) error, prep func(child *FreePhish)) (snap *state.Snapshot, err error) {
-	// Not transient: every runner would refuse the same position.
+	// Not transient: every runner would refuse the same position, and
+	// the same bounds.
 	if spec.Shards < 1 || spec.Shard < 0 || spec.Shard >= spec.Shards {
 		return nil, fmt.Errorf("core: shard position %d/%d out of range", spec.Shard, spec.Shards)
 	}
-	cfg := configFromSpec(spec.ShardSpec)
+	if spec.Workers > MaxSpecParallelism {
+		return nil, fmt.Errorf("core: spec workers %d exceeds the limit of %d", spec.Workers, MaxSpecParallelism)
+	}
+	if spec.QueueDepth > MaxSpecParallelism {
+		return nil, fmt.Errorf("core: spec queue_depth %d exceeds the limit of %d", spec.QueueDepth, MaxSpecParallelism)
+	}
+	// The spec is one shard; its position rides in shardIndex/shardCount.
+	// The observability hooks stay nil: the coordinator or worker daemon
+	// owns registry and logging.
+	cfg := Config{ShardSpec: spec.ShardSpec}
+	cfg.Shard, cfg.Shards = 0, 1
 	if r.Workers > 0 {
 		cfg.Workers = r.Workers
 	}
@@ -324,86 +341,6 @@ func (r *SpecRunner) trained(key trainKey, workers int) (*trainedModels, error) 
 	}
 	r.models[key] = m
 	return m, nil
-}
-
-// studySpec is the one mapping from Config to the wire spec: every
-// determinism-relevant knob plus the deployment shape (Backend, Workers,
-// QueueDepth, ...) a worker should reproduce. The shard position and the
-// fingerprint are the caller's; configFromSpec inverts it, and
-// specFingerprint derives the study fingerprint from it.
-func studySpec(cfg Config) state.ShardSpec {
-	sp := state.ShardSpec{
-		Seed:            cfg.Seed,
-		Epoch:           cfg.Epoch,
-		Duration:        cfg.Duration,
-		FWBTwitter:      cfg.FWBTwitter,
-		FWBFacebook:     cfg.FWBFacebook,
-		SelfTwitter:     cfg.SelfTwitter,
-		SelfFacebook:    cfg.SelfFacebook,
-		BenignPerPhish:  cfg.BenignPerPhish,
-		Scale:           cfg.Scale,
-		PollInterval:    cfg.PollInterval,
-		TrainPerClass:   cfg.TrainPerClass,
-		GrowthExponent:  cfg.GrowthExponent,
-		MonitorInterval: cfg.MonitorInterval,
-		ReshareRate:     cfg.ReshareRate,
-		PollQuota:       cfg.PollQuota,
-		PollQuotaRate:   cfg.PollQuotaRate,
-		Workers:         cfg.Workers,
-		QueueDepth:      cfg.QueueDepth,
-		Backend:         cfg.Backend,
-		Faults:          cfg.Faults,
-		Journal:         cfg.Journal,
-		CheckpointEvery: cfg.CheckpointEvery,
-	}
-	if cfg.Cascade != nil {
-		sp.CascadeOn = true
-		sp.CascadeBenignBelow = cfg.Cascade.BenignBelow
-		sp.CascadePhishAbove = cfg.Cascade.PhishAbove
-	}
-	return sp
-}
-
-// configFromSpec inverts studySpec: rebuild the runnable Config on the
-// runner side. Shards is pinned to 1 (the spec IS one shard; the partition
-// rides in shardIndex/shardCount) and the observability hooks stay nil —
-// the coordinator or worker daemon owns registry and logging.
-func configFromSpec(sp state.ShardSpec) Config {
-	cfg := Config{
-		Seed:            sp.Seed,
-		Epoch:           sp.Epoch,
-		Duration:        sp.Duration,
-		FWBTwitter:      sp.FWBTwitter,
-		FWBFacebook:     sp.FWBFacebook,
-		SelfTwitter:     sp.SelfTwitter,
-		SelfFacebook:    sp.SelfFacebook,
-		BenignPerPhish:  sp.BenignPerPhish,
-		Scale:           sp.Scale,
-		PollInterval:    sp.PollInterval,
-		TrainPerClass:   sp.TrainPerClass,
-		GrowthExponent:  sp.GrowthExponent,
-		MonitorInterval: sp.MonitorInterval,
-		ReshareRate:     sp.ReshareRate,
-		PollQuota:       sp.PollQuota,
-		PollQuotaRate:   sp.PollQuotaRate,
-		Workers:         sp.Workers,
-		QueueDepth:      sp.QueueDepth,
-		Backend:         sp.Backend,
-		Faults:          sp.Faults,
-		Journal:         sp.Journal,
-		Shards:          1,
-		CheckpointEvery: sp.CheckpointEvery,
-	}
-	if cfg.Backend == "" {
-		cfg.Backend = BackendInproc
-	}
-	if sp.CascadeOn {
-		cfg.Cascade = &CascadeConfig{
-			BenignBelow: sp.CascadeBenignBelow,
-			PhishAbove:  sp.CascadePhishAbove,
-		}
-	}
-	return cfg
 }
 
 // Shard lifecycle ops events (ring-only — see obs.Journal's class

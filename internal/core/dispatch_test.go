@@ -330,6 +330,42 @@ func TestSpecRunnerRejectsShardOutOfRange(t *testing.T) {
 	}
 }
 
+// TestSpecRunnerRejectsOversizedSpec pins the runner's bound on the
+// spec's workers and queue_depth through the worker's wire stack: both
+// size goroutine pools and channels, so a spec above MaxSpecParallelism
+// gets a definitive (non-transient) error frame naming the field before
+// anything is built or trained. Nothing runs at the refused values.
+func TestSpecRunnerRejectsOversizedSpec(t *testing.T) {
+	runner := NewSpecRunner()
+	runner.train = func(trainKey, int) (*trainedModels, error) {
+		t.Error("runner trained models for an oversized spec")
+		return nil, errors.New("oversized spec trained")
+	}
+	srv := httptest.NewServer(&shardrpc.Server{Runner: runner})
+	defer srv.Close()
+	client := shardrpc.NewClient(srv.URL)
+	coordinator := New(streamSweepConfig(1, 0, BackendInproc))
+	for _, tc := range []struct {
+		field string
+		set   func(*shard.Spec)
+	}{
+		{"workers", func(s *shard.Spec) { s.Workers = 1 << 40 }},
+		{"queue_depth", func(s *shard.Spec) { s.QueueDepth = 1 << 40 }},
+	} {
+		spec := shard.Spec{ShardSpec: coordinator.shardSpec(0, 1)}
+		spec.Shards = 1
+		tc.set(&spec)
+		spec.Fingerprint = specFingerprint(spec.ShardSpec)
+		snap, err := client.Run(context.Background(), spec, nil)
+		if err == nil {
+			t.Fatalf("%s 1<<40: runner returned a snapshot with %d records; want an error frame", tc.field, len(snap.Records))
+		}
+		if retry.IsTransient(err) || !strings.Contains(err.Error(), "spec "+tc.field+" ") {
+			t.Fatalf("%s 1<<40: err = %v (transient=%v); want a plain error naming %s", tc.field, err, retry.IsTransient(err), tc.field)
+		}
+	}
+}
+
 // TestLocalRunnerReusesCoordinatorModels pins the in-process runner's
 // model source: a shard child rebuilt from its spec finds the
 // coordinator's own trained models under its training key, so local
@@ -337,7 +373,7 @@ func TestSpecRunnerRejectsShardOutOfRange(t *testing.T) {
 func TestLocalRunnerReusesCoordinatorModels(t *testing.T) {
 	cfg := streamSweepConfig(4, 0, BackendHTTP)
 	cfg.Shards = 2
-	cfg.Cascade = &CascadeConfig{BenignBelow: 0.1, PhishAbove: 0.9}
+	setCascade(t, &cfg, "0.1,0.9")
 	f := New(cfg)
 	f.Model, f.BaseModel, f.Lexical = &baselines.StackDetector{}, &baselines.StackDetector{}, &baselines.LexicalScorer{}
 	d := f.newDispatcher()
@@ -345,7 +381,7 @@ func TestLocalRunnerReusesCoordinatorModels(t *testing.T) {
 		t.Fatal("the local runner trained its own models instead of using the coordinator's")
 		return nil, nil
 	}
-	child := New(configFromSpec(f.shardSpec(1, d.stride)))
+	child := New(Config{ShardSpec: f.shardSpec(1, d.stride)})
 	m, err := d.local.trained(child.trainKey(), 0)
 	if err != nil {
 		t.Fatal(err)
@@ -365,14 +401,14 @@ func TestSpecRunnerTrainsOncePerTrainingInput(t *testing.T) {
 	runner.Logger = log
 	base := streamSweepConfig(1, 0, BackendInproc)
 	base.Duration = 2 * 24 * time.Hour
-	base.Cascade = &CascadeConfig{BenignBelow: 0.1, PhishAbove: 0.9}
+	setCascade(t, &base, "0.1,0.9")
 	prof := faults.DefaultProfile()
 	variants := []func(*Config){
 		func(*Config) {},
 		func(c *Config) { c.Duration = 3 * 24 * time.Hour },
 		func(c *Config) { c.Faults = &prof },
 		func(c *Config) { c.Journal = true },
-		func(c *Config) { c.Cascade = &CascadeConfig{BenignBelow: 0.2, PhishAbove: 0.8} },
+		func(c *Config) { setCascade(t, c, "0.2,0.8") },
 		func(c *Config) { c.Shards = 3 },
 	}
 	for i, vary := range variants {

@@ -36,7 +36,7 @@ func (f *FreePhish) trainKey() trainKey {
 		Seed:     f.Config.Seed,
 		Epoch:    f.Config.Epoch,
 		PerClass: max(40, f.Config.scaled(f.Config.TrainPerClass)),
-		Lexical:  f.Config.Cascade != nil,
+		Lexical:  f.Config.CascadeOn,
 	}
 }
 

@@ -378,6 +378,47 @@ func TestAUCKnownValues(t *testing.T) {
 	}
 }
 
+// TestAUCIndependentOfTieOrder pins that AUC does not depend on the order
+// sort.Slice leaves tied scores in. Tied scores share their average rank,
+// and ranks are half-integers, so the positive rank sum is exact in
+// float64 whatever order it is summed in: joint permutations of a
+// tie-heavy input must give a bit-identical AUC.
+func TestAUCIndependentOfTieOrder(t *testing.T) {
+	rng := simclock.NewRNG(1, "ml.auc-ties")
+	const n = 2000
+	scores := make([]float64, n)
+	labels := make([]int, n)
+	for i := range scores {
+		// Eleven distinct values, so nearly every score is tied.
+		scores[i] = float64(rng.Intn(11)) / 10
+		if rng.Float64() < 0.3+0.4*scores[i] {
+			labels[i] = 1
+		}
+	}
+	want := AUC(scores, labels)
+	if want == 0.5 || want == 1 {
+		t.Fatalf("reference AUC %v; the input is degenerate", want)
+	}
+	perm := make([]int, n)
+	for i := range perm {
+		perm[i] = i
+	}
+	ps, pl := make([]float64, n), make([]int, n)
+	for trial := 0; trial < 50; trial++ {
+		for i := n - 1; i > 0; i-- {
+			j := rng.Intn(i + 1)
+			perm[i], perm[j] = perm[j], perm[i]
+		}
+		for i, k := range perm {
+			ps[i], pl[i] = scores[k], labels[k]
+		}
+		if got := AUC(ps, pl); math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("trial %d: AUC %v (%#x) after a joint permutation, want %v (%#x)",
+				trial, got, math.Float64bits(got), want, math.Float64bits(want))
+		}
+	}
+}
+
 func TestEvaluateAUCOnTrainedModel(t *testing.T) {
 	d := synthDataset(800, 0.02, 43)
 	rng := simclock.NewRNG(43, "auc")
