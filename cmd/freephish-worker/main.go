@@ -50,7 +50,7 @@ func main() {
 	reg := obs.NewRegistry()
 	info := obs.RegisterBuildInfo(reg, 0)
 	mux := obs.NewOps(reg, obs.OpsOptions{Info: info})
-	mux.Handle("/run", &shardrpc.Server{Runner: runner, Logger: logger})
+	mux.Handle("/run", &shardrpc.Server{Runner: runner.Port(), Logger: logger})
 
 	srv := &http.Server{
 		Addr: *listen, Handler: mux,

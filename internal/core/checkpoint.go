@@ -86,7 +86,7 @@ func (c *checkpointer) maybe(f *FreePhish) error {
 		return err
 	}
 	if f.checkpointSink != nil {
-		if err := f.checkpointSink(data); err != nil {
+		if err := f.checkpointSink(data, now); err != nil {
 			return fmt.Errorf("core: checkpoint sink: %w", err)
 		}
 	}

@@ -192,11 +192,11 @@ type FreePhish struct {
 	// their package-wide model cache.
 	train func(trainKey, int) (*trainedModels, error)
 
-	// checkpointSink is a test seam: when set, every checkpoint's encoded
-	// bytes are also delivered here (checkpointing is active whenever the
-	// sink or Config.CheckpointPath is set). Tests use it to capture every
-	// cut point of a run without funneling them through one file.
-	checkpointSink func(data []byte) error
+	// checkpointSink, when set, receives every checkpoint's encoded bytes
+	// and the instant they were cut at (checkpointing is active whenever
+	// the sink or Config.CheckpointPath is set). Shard children stream
+	// their cuts through it; tests capture every cut point with it.
+	checkpointSink func(data []byte, at time.Time) error
 }
 
 // Stats returns the run's operational counters.

@@ -109,17 +109,18 @@ func (d *dispatcher) runShard(i int) (*state.Snapshot, error) {
 	f := d.f
 	var lastErr error
 	var lastChk []byte
+	var lastAt time.Time
 	for attempt := 0; attempt < shardAttempts; attempt++ {
 		spec := shard.Spec{ShardSpec: f.shardSpec(i, d.stride), Resume: lastChk}
 		adopted := len(lastChk) > 0
 		// Both runners deliver checkpoints synchronously from this shard's
 		// goroutine (the local child's driver loop, or the RPC client's
-		// frame decoder), so lastChk needs no lock, and each data slice is
-		// handed over (shard.Runner), so it is kept without a copy. at
-		// gives the cut's instant; it runs only when the journal is on.
-		keep := func(data []byte, at func() string) {
-			lastChk = data
+		// frame decoder), so the last cut needs no lock, and each data
+		// slice is handed over (shard.Runner), so it is kept uncopied.
+		keep := func(data []byte, at time.Time) error {
+			lastChk, lastAt = data, at
 			f.observeShardCheckpoint(i, attempt, at)
+			return nil
 		}
 		client := d.pick(i, attempt)
 		runner := "local"
@@ -128,7 +129,7 @@ func (d *dispatcher) runShard(i int) (*state.Snapshot, error) {
 		}
 		f.observeShardDispatch(i, attempt, runner, adopted)
 		if adopted {
-			f.observeShardAdopt(i, attempt, runner, spec.Resume)
+			f.observeShardAdopt(i, attempt, runner, lastAt)
 		}
 		snap, err := d.attempt(client, i, attempt, spec, keep)
 		if err != nil {
@@ -146,7 +147,7 @@ func (d *dispatcher) runShard(i int) (*state.Snapshot, error) {
 // attempt runs one attempt of shard i on client, or in-process when
 // client is nil. Both paths end in a SpecRunner: the local one shares the
 // coordinator's trained models and threads its test seams into the child.
-func (d *dispatcher) attempt(client *shardrpc.Client, i, attempt int, spec shard.Spec, keep func(data []byte, at func() string)) (*state.Snapshot, error) {
+func (d *dispatcher) attempt(client *shardrpc.Client, i, attempt int, spec shard.Spec, keep func(data []byte, at time.Time) error) (*state.Snapshot, error) {
 	f := d.f
 	if f.shardHook != nil {
 		if err := f.shardHook(i, attempt); err != nil {
@@ -154,13 +155,7 @@ func (d *dispatcher) attempt(client *shardrpc.Client, i, attempt int, spec shard
 		}
 	}
 	if client == nil {
-		return d.local.run(spec, nil, func(child *FreePhish) {
-			// A local child hands each cut over at the cut's instant, so
-			// its clock dates the cut without decoding it.
-			child.checkpointSink = func(data []byte) error {
-				keep(data, func() string { return child.Clock.Now().UTC().Format(time.RFC3339) })
-				return nil
-			}
+		return d.local.run(spec, keep, func(child *FreePhish) {
 			child.listen = f.listen
 			if f.shardPrep != nil {
 				f.shardPrep(child, i, attempt)
@@ -169,10 +164,7 @@ func (d *dispatcher) attempt(client *shardrpc.Client, i, attempt int, spec shard
 	}
 	var snap *state.Snapshot
 	err := d.pol.Do(context.Background(), client.Name(), func() error {
-		s, rerr := client.Run(context.Background(), spec, func(data []byte) error {
-			keep(data, func() string { return cutInstant(data) })
-			return nil
-		})
+		s, rerr := client.Run(context.Background(), spec, keep)
 		snap = s
 		return rerr
 	})
@@ -235,17 +227,33 @@ func NewSpecRunner() *SpecRunner {
 // Name implements shard.Runner.
 func (r *SpecRunner) Name() string { return "worker" }
 
-// Run implements shard.Runner: rebuild, verify the fingerprint, train (or
-// reuse cached models), run, audit, snapshot.
+// Run is Port().Run for callers that keep only the checkpoint bytes, as
+// perfbench's shard layer does.
 func (r *SpecRunner) Run(ctx context.Context, spec shard.Spec, onCheckpoint func(data []byte) error) (*state.Snapshot, error) {
-	return r.run(spec, onCheckpoint, nil)
+	var sink func([]byte, time.Time) error
+	if onCheckpoint != nil {
+		sink = func(data []byte, _ time.Time) error { return onCheckpoint(data) }
+	}
+	return r.run(spec, sink, nil)
+}
+
+// Port returns r as a shard.Runner, as shardrpc.Server serves it. Its Run
+// rebuilds, verifies the fingerprint, trains (or reuses cached models),
+// runs, audits and snapshots.
+func (r *SpecRunner) Port() shard.Runner { return specPort{r} }
+
+// specPort is a SpecRunner behind the shard.Runner port.
+type specPort struct{ *SpecRunner }
+
+func (p specPort) Run(ctx context.Context, spec shard.Spec, onCheckpoint func(data []byte, at time.Time) error) (*state.Snapshot, error) {
+	return p.run(spec, onCheckpoint, nil)
 }
 
 // run is Run with prep, when non-nil, invoked on the built child just
 // before it runs. A panic inside the child (the local analogue of a
 // worker crash) is converted to an error so the adoption loop can hand
 // the streamed checkpoint to a replacement instead of unwinding the study.
-func (r *SpecRunner) run(spec shard.Spec, onCheckpoint func(data []byte) error, prep func(child *FreePhish)) (snap *state.Snapshot, err error) {
+func (r *SpecRunner) run(spec shard.Spec, onCheckpoint func(data []byte, at time.Time) error, prep func(child *FreePhish)) (snap *state.Snapshot, err error) {
 	// Not transient: every runner would refuse the same position, and
 	// the same bounds.
 	if spec.Shards < 1 || spec.Shard < 0 || spec.Shard >= spec.Shards {
@@ -359,27 +367,26 @@ func (f *FreePhish) observeShardDispatch(shard, attempt int, runner string, adop
 	}
 }
 
-func (f *FreePhish) observeShardCheckpoint(shard, attempt int, at func() string) {
+func (f *FreePhish) observeShardCheckpoint(shard, attempt int, at time.Time) {
 	if j := f.Metrics.Journal; j != nil {
 		j.RecordOps("", obs.EvShardCheckpoint,
-			"shard", itoa(shard), "attempt", itoa(attempt), "at", at())
+			"shard", itoa(shard), "attempt", itoa(attempt), "at", opsInstant(at))
 	}
 }
 
-func (f *FreePhish) observeShardAdopt(shard, attempt int, runner string, chk []byte) {
+func (f *FreePhish) observeShardAdopt(shard, attempt int, runner string, from time.Time) {
 	f.Metrics.ShardAdopted.With(itoa(shard)).Inc()
 	if j := f.Metrics.Journal; j != nil {
 		j.RecordOps("", obs.EvShardAdopt,
 			"shard", itoa(shard), "attempt", itoa(attempt),
-			"runner", runner, "from", cutInstant(chk))
+			"runner", runner, "from", opsInstant(from))
 	}
 }
 
-// cutInstant is the instant of the encoded checkpoint data as ops events
-// print it, or "" when the bytes do not hold one.
-func cutInstant(data []byte) string {
-	t, err := state.PeekCheckpointInstant(data)
-	if err != nil {
+// opsInstant is a cut's instant as shard ops events print it; the zero
+// time, from a worker that sends no instant, prints as "".
+func opsInstant(t time.Time) string {
+	if t.IsZero() {
 		return ""
 	}
 	return t.UTC().Format(time.RFC3339)

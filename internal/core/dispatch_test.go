@@ -30,7 +30,7 @@ type snapshotRecorder struct {
 	stats map[int]Stats
 }
 
-func (r *snapshotRecorder) Run(ctx context.Context, spec shard.Spec, onCheckpoint func([]byte) error) (*state.Snapshot, error) {
+func (r *snapshotRecorder) Run(ctx context.Context, spec shard.Spec, onCheckpoint func([]byte, time.Time) error) (*state.Snapshot, error) {
 	snap, err := r.Runner.Run(ctx, spec, onCheckpoint)
 	if err == nil {
 		r.mu.Lock()
@@ -52,7 +52,7 @@ func (r *snapshotRecorder) Run(ctx context.Context, spec shard.Spec, onCheckpoin
 func TestRemoteShardDeterminism(t *testing.T) {
 	baseRec, baseJournal, baseStats, _ := shardRun(t, 1, 1, BackendInproc, nil)
 
-	recorder := &snapshotRecorder{Runner: newTestRunner()}
+	recorder := &snapshotRecorder{Runner: newTestRunner().Port()}
 	srv := httptest.NewServer(&shardrpc.Server{Runner: recorder})
 	defer srv.Close()
 
@@ -151,8 +151,8 @@ func TestShardAdoptionByteIdentical(t *testing.T) {
 	if got := liveJournal.Counts()[obs.EvShardCheckpoint]; got == 0 {
 		t.Fatalf("no %s ops events; checkpoint streaming never surfaced", obs.EvShardCheckpoint)
 	}
-	// A local cut is dated by its child's clock and an adopted one by its
-	// bytes; both must name the adopted checkpoint's instant.
+	// The child hands each cut over with its instant; the last cut and the
+	// adoption must both name the adopted checkpoint's instant.
 	want := resumed.SimNow.UTC().Format(time.RFC3339)
 	var lastAt, from string
 	for _, ev := range liveJournal.Tail(obs.DefaultJournalRing) {
@@ -186,7 +186,7 @@ func TestShardAdoptionByteIdentical(t *testing.T) {
 func TestRemoteShardAdoptionByteIdentical(t *testing.T) {
 	baseRec, baseJournal, baseStats, _ := shardRun(t, 2, 1, BackendInproc, nil)
 
-	server := &shardrpc.Server{Runner: newTestRunner()}
+	server := &shardrpc.Server{Runner: newTestRunner().Port()}
 	var killed int32
 	server.OnCheckpointFrame = func(shardIndex, frameCount int) error {
 		// Shard 1's first dispatch dies after its second checkpoint frame.
@@ -210,6 +210,7 @@ func TestRemoteShardAdoptionByteIdentical(t *testing.T) {
 			resumed = child.Config.Resume
 		}
 	}
+	liveJournal := f.Metrics.Journal
 	study, err := f.Run()
 	if err != nil {
 		t.Fatalf("run with crashed worker failed: %v", err)
@@ -237,6 +238,25 @@ func TestRemoteShardAdoptionByteIdentical(t *testing.T) {
 	}
 	if got := f.Metrics.ShardDispatched.With("local").Value(); got != 1 {
 		t.Fatalf("freephish_shard_dispatched_total{runner=local} = %v, want 1", got)
+	}
+	// The worker's frames carry each cut's instant: shard 1's streamed
+	// cuts are dated and strictly increasing, and the adoption names the
+	// last of them, the instant of the checkpoint the replacement resumed.
+	want := resumed.SimNow.UTC().Format(time.RFC3339)
+	var ats []string
+	var from string
+	for _, ev := range liveJournal.Tail(obs.DefaultJournalRing) {
+		switch {
+		case ev.Type == obs.EvShardCheckpoint && ev.Attrs["shard"] == "1" && ev.Attrs["attempt"] == "0":
+			if ats = append(ats, ev.Attrs["at"]); ats[len(ats)-1] == "" || len(ats) > 1 && ats[len(ats)-1] <= ats[len(ats)-2] {
+				t.Fatalf("shard 1's remote cuts are dated %q; want non-empty, strictly increasing instants", ats)
+			}
+		case ev.Type == obs.EvShardAdopt:
+			from = ev.Attrs["from"]
+		}
+	}
+	if len(ats) < 2 || ats[len(ats)-1] != want || from != want {
+		t.Fatalf("shard 1's remote cuts are dated %q and its adoption %q; the adopted checkpoint was cut at %s", ats, from, want)
 	}
 
 	var rec, journal bytes.Buffer
@@ -306,7 +326,7 @@ func TestSpecRunnerRejectsShardOutOfRange(t *testing.T) {
 	log := &infoLog{}
 	runner := NewSpecRunner()
 	runner.Logger = log
-	srv := httptest.NewServer(&shardrpc.Server{Runner: runner})
+	srv := httptest.NewServer(&shardrpc.Server{Runner: runner.Port()})
 	defer srv.Close()
 	client := shardrpc.NewClient(srv.URL)
 	coordinator := New(streamSweepConfig(1, 0, BackendInproc))
@@ -341,7 +361,7 @@ func TestSpecRunnerRejectsOversizedSpec(t *testing.T) {
 		t.Error("runner trained models for an oversized spec")
 		return nil, errors.New("oversized spec trained")
 	}
-	srv := httptest.NewServer(&shardrpc.Server{Runner: runner})
+	srv := httptest.NewServer(&shardrpc.Server{Runner: runner.Port()})
 	defer srv.Close()
 	client := shardrpc.NewClient(srv.URL)
 	coordinator := New(streamSweepConfig(1, 0, BackendInproc))

@@ -38,7 +38,7 @@ func resumeSweepConfig(workers int, backend string) Config {
 
 // runResumeStudy executes one study and returns its records JSONL,
 // canonical journal JSONL, stats, and the framework.
-func runResumeStudy(t *testing.T, label string, cfg Config, sink func([]byte) error) (rec, journal []byte, stats Stats, f *FreePhish) {
+func runResumeStudy(t *testing.T, label string, cfg Config, sink func([]byte, time.Time) error) (rec, journal []byte, stats Stats, f *FreePhish) {
 	t.Helper()
 	f = newCached(cfg)
 	f.checkpointSink = sink
@@ -81,7 +81,7 @@ func TestResumeByteIdentical(t *testing.T) {
 		cfg.CheckpointEvery = 1
 		var cuts [][]byte
 		rec, journal, stats, _ := runResumeStudy(t, label+" checkpointed", cfg,
-			func(data []byte) error {
+			func(data []byte, _ time.Time) error {
 				cuts = append(cuts, append([]byte(nil), data...))
 				return nil
 			})
@@ -180,7 +180,7 @@ func TestCheckpointCutsMatchReference(t *testing.T) {
 			cfg.Resume = resume
 			f := newCached(cfg)
 			var want [][]byte
-			f.checkpointSink = func(data []byte) error {
+			f.checkpointSink = func(data []byte, _ time.Time) error {
 				ref := referenceCheckpoint(t, f.buildCheckpoint())
 				if !bytes.Equal(data, ref) {
 					t.Fatalf("%s %s: cut %d differs from the reference encoding (%d vs %d bytes)",
@@ -257,7 +257,7 @@ func TestResumeRejectsFingerprintMismatch(t *testing.T) {
 	cfg.Duration = 4 * 24 * time.Hour
 	cfg.CheckpointEvery = 1
 	var cuts [][]byte
-	runResumeStudy(t, "source", cfg, func(data []byte) error {
+	runResumeStudy(t, "source", cfg, func(data []byte, _ time.Time) error {
 		cuts = append(cuts, append([]byte(nil), data...))
 		return nil
 	})

@@ -242,12 +242,12 @@ func TestRetiredSnapshotCacheSizeDecodes(t *testing.T) {
 
 	// Through the worker's wire stack, which refuses a spec whose
 	// fingerprint its rebuilt configuration does not reproduce.
-	srv := httptest.NewServer(&shardrpc.Server{Runner: newTestRunner()})
+	srv := httptest.NewServer(&shardrpc.Server{Runner: newTestRunner().Port()})
 	defer srv.Close()
 	client := shardrpc.NewClient(srv.URL)
 	client.HTTPClient.Transport = legacySpecTransport{inner: client.HTTPClient.Transport}
 	var cuts [][]byte
-	full, err := client.Run(context.Background(), shard.Spec{ShardSpec: sp}, func(data []byte) error {
+	full, err := client.Run(context.Background(), shard.Spec{ShardSpec: sp}, func(data []byte, _ time.Time) error {
 		cuts = append(cuts, data)
 		return nil
 	})

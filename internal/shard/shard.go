@@ -12,6 +12,7 @@ package shard
 
 import (
 	"context"
+	"time"
 
 	"freephish/internal/state"
 )
@@ -32,11 +33,11 @@ type Spec struct {
 // Runner executes one shard to completion.
 //
 // onCheckpoint is invoked with each encoded checkpoint the running shard
-// cuts at its ordered-apply boundaries, in order, before the final snapshot
-// is returned; the coordinator keeps the last one as the adoption point.
-// Each data slice is handed over to the callee: the runner passes a fresh
-// slice per checkpoint and never touches it again, so the callee may keep
-// it without copying. If
+// cuts at its ordered-apply boundaries and the sim instant it was cut at,
+// in order, before the final snapshot is returned; the coordinator keeps
+// the last one as the adoption point. Each data slice is handed over to
+// the callee: the runner passes a fresh slice per checkpoint and never
+// touches it again, so the callee may keep it without copying. If
 // onCheckpoint returns an error the run must fail — a coordinator that can
 // no longer receive checkpoints has lost its failover guarantee for this
 // attempt, so the runner surfaces that instead of running on silently.
@@ -52,5 +53,5 @@ type Runner interface {
 	// shard panel — "local" for the in-process adapter, the endpoint for a
 	// remote worker.
 	Name() string
-	Run(ctx context.Context, spec Spec, onCheckpoint func(data []byte) error) (*state.Snapshot, error)
+	Run(ctx context.Context, spec Spec, onCheckpoint func(data []byte, at time.Time) error) (*state.Snapshot, error)
 }

@@ -29,23 +29,26 @@ func (b bodyTransport) RoundTrip(req *http.Request) (*http.Response, error) {
 }
 
 // expectedFrames reads body the way the protocol defines it: the
-// checkpoint payloads of the frames before the terminal one, and the
-// terminal snapshot's envelope (nil if the stream ends without one, or
-// ends in an error or malformed frame).
-func expectedFrames(body []byte) (checkpoints [][]byte, snapshot []byte) {
+// checkpoint payloads of the frames before the terminal one and their
+// instants (zero where a frame has none), and the terminal snapshot's
+// envelope (nil if the stream ends without one, or ends in an error or
+// malformed frame).
+func expectedFrames(body []byte) (checkpoints [][]byte, instants []time.Time, snapshot []byte) {
 	dec := json.NewDecoder(bytes.NewReader(body))
 	for {
 		var f frame
 		if dec.Decode(&f) != nil || f.Error != "" {
-			return checkpoints, nil
+			return checkpoints, instants, nil
 		}
 		switch {
 		case len(f.Snapshot) > 0:
-			return checkpoints, f.Snapshot
+			return checkpoints, instants, f.Snapshot
 		case len(f.Checkpoint) > 0:
 			checkpoints = append(checkpoints, f.Checkpoint)
+			at, _ := time.Parse(time.RFC3339Nano, f.At)
+			instants = append(instants, at)
 		default:
-			return checkpoints, nil
+			return checkpoints, instants, nil
 		}
 	}
 }
@@ -54,7 +57,8 @@ func expectedFrames(body []byte) (checkpoints [][]byte, snapshot []byte) {
 // a broken or hostile worker streams, the run must return either a
 // snapshot that passed the wire envelope's verification or an error —
 // never both, never neither, no panic, no hang — and onCheckpoint must see
-// exactly the stream's checkpoint frames, in order, and nothing else.
+// exactly the stream's checkpoint frames with their instants, in order,
+// and nothing else.
 func FuzzClientFrames(f *testing.F) {
 	chk, err := state.EncodeCheckpoint(&state.Checkpoint{Fingerprint: "v2 {}", Snapshot: &state.Snapshot{}})
 	if err != nil {
@@ -72,7 +76,11 @@ func FuzzClientFrames(f *testing.F) {
 		return append(b, '\n')
 	}
 	cat := func(parts ...[]byte) []byte { return bytes.Join(parts, nil) }
+	at := "2022-03-01T00:10:00.5+01:00"
 	f.Add(cat(line(frame{Checkpoint: chk}), line(frame{Checkpoint: chk}), line(frame{Snapshot: snap})))
+	f.Add(cat(line(frame{Checkpoint: chk, At: at}), line(frame{Checkpoint: chk}), line(frame{Snapshot: snap})))
+	f.Add(cat(line(frame{Snapshot: snap, At: at})))
+	f.Add([]byte(`{"checkpoint":"YQ==","at":"not a time"}`))
 	f.Add(cat(line(frame{Checkpoint: chk}), line(frame{Snapshot: snap})[:len(snap)/2]))
 	f.Add(cat(line(frame{Checkpoint: chk}), line(frame{Error: "spec refused"})))
 	f.Add(cat(line(frame{Checkpoint: chk, Snapshot: snap})))
@@ -87,20 +95,25 @@ func FuzzClientFrames(f *testing.F) {
 		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 		defer cancel()
 		var seen [][]byte
-		got, err := client.Run(ctx, testSpec(), func(data []byte) error {
+		var seenAt []time.Time
+		got, err := client.Run(ctx, testSpec(), func(data []byte, at time.Time) error {
 			seen = append(seen, data)
+			seenAt = append(seenAt, at)
 			return nil
 		})
 		if (got == nil) == (err == nil) {
 			t.Fatalf("Run = (%v, %v), want exactly one of a snapshot and an error", got, err)
 		}
-		wantChk, wantSnap := expectedFrames(body)
+		wantChk, wantAt, wantSnap := expectedFrames(body)
 		if len(seen) != len(wantChk) {
 			t.Fatalf("onCheckpoint saw %d frames, the stream has %d checkpoint frames", len(seen), len(wantChk))
 		}
 		for i := range seen {
 			if !bytes.Equal(seen[i], wantChk[i]) {
 				t.Fatalf("onCheckpoint frame %d is %q, want %q", i, seen[i], wantChk[i])
+			}
+			if !seenAt[i].Equal(wantAt[i]) {
+				t.Fatalf("onCheckpoint frame %d came with instant %v, the frame holds %v", i, seenAt[i], wantAt[i])
 			}
 		}
 		if got == nil {

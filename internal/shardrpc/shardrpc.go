@@ -5,10 +5,10 @@
 //
 // The wire protocol is a single POST whose response is a stream of
 // newline-delimited JSON frames: zero or more checkpoint frames (the
-// shard's periodic state.Checkpoint envelopes, forwarded as they are cut so
-// the coordinator always holds an adoption point), terminated by exactly
-// one snapshot frame (the final state.Snapshot in its self-verifying wire
-// envelope) or one error frame. A connection that dies before a terminal
+// shard's periodic state.Checkpoint envelopes and their instants, sent as
+// they are cut so the coordinator always holds an adoption point),
+// terminated by exactly one snapshot frame (the final state.Snapshot in
+// its self-verifying wire envelope) or one error frame. A connection that dies before a terminal
 // frame is a transport failure — the client marks it retry.Transient and
 // the coordinator fails over to another runner, adopting the last
 // checkpoint it received.
@@ -31,10 +31,12 @@ import (
 	"freephish/internal/state"
 )
 
-// frame is one line of the response stream. Exactly one field is set.
+// frame is one line of the stream: a checkpoint, a snapshot or an error.
 type frame struct {
-	// Checkpoint is an encoded state.Checkpoint envelope cut mid-run.
+	// Checkpoint is an encoded state.Checkpoint envelope cut mid-run, and
+	// At its sim instant in RFC 3339; a missing At reads as the zero time.
 	Checkpoint []byte `json:"checkpoint,omitempty"`
+	At         string `json:"at,omitempty"`
 	// Snapshot is the final state.Snapshot in its wire envelope; it
 	// terminates a successful stream.
 	Snapshot []byte `json:"snapshot,omitempty"`
@@ -123,8 +125,8 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	// injected crash from a genuine run error.
 	frames := 0
 	killed := false
-	onChk := func(data []byte) error {
-		if err := writeFrame(frame{Checkpoint: data}); err != nil {
+	onChk := func(data []byte, at time.Time) error {
+		if err := writeFrame(frame{Checkpoint: data, At: at.Format(time.RFC3339Nano)}); err != nil {
 			return fmt.Errorf("shardrpc: stream checkpoint: %w", err)
 		}
 		frames++
@@ -203,7 +205,7 @@ func (c *Client) url() string {
 // wrapped with retry.Transient so the dispatcher's policy and per-endpoint
 // breaker can fail the shard over; an explicit error frame comes back
 // plain, because the worker definitively answered.
-func (c *Client) Run(ctx context.Context, spec shard.Spec, onCheckpoint func(data []byte) error) (*state.Snapshot, error) {
+func (c *Client) Run(ctx context.Context, spec shard.Spec, onCheckpoint func(data []byte, at time.Time) error) (*state.Snapshot, error) {
 	body, err := json.Marshal(spec)
 	if err != nil {
 		return nil, fmt.Errorf("shardrpc: encode spec: %w", err)
@@ -243,7 +245,8 @@ func (c *Client) Run(ctx context.Context, spec shard.Spec, onCheckpoint func(dat
 			return snap, nil
 		case len(f.Checkpoint) > 0:
 			if onCheckpoint != nil {
-				if err := onCheckpoint(f.Checkpoint); err != nil {
+				at, _ := time.Parse(time.RFC3339Nano, f.At)
+				if err := onCheckpoint(f.Checkpoint, at); err != nil {
 					return nil, err
 				}
 			}

@@ -9,6 +9,7 @@ import (
 	"strings"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"freephish/internal/retry"
 	"freephish/internal/shard"
@@ -24,9 +25,9 @@ type fakeRunner struct {
 
 func (r *fakeRunner) Name() string { return "fake" }
 
-func (r *fakeRunner) Run(ctx context.Context, spec shard.Spec, onCheckpoint func([]byte) error) (*state.Snapshot, error) {
+func (r *fakeRunner) Run(ctx context.Context, spec shard.Spec, onCheckpoint func([]byte, time.Time) error) (*state.Snapshot, error) {
 	for _, c := range r.checkpoints {
-		if err := onCheckpoint([]byte(c)); err != nil {
+		if err := onCheckpoint([]byte(c), time.Time{}); err != nil {
 			return nil, err
 		}
 	}
@@ -52,7 +53,7 @@ func TestCheckpointFramesPrecedeSnapshot(t *testing.T) {
 	}
 	client := serve(t, &Server{Runner: runner})
 	var got []string
-	snap, err := client.Run(context.Background(), testSpec(), func(data []byte) error {
+	snap, err := client.Run(context.Background(), testSpec(), func(data []byte, _ time.Time) error {
 		got = append(got, string(data))
 		return nil
 	})
@@ -67,9 +68,70 @@ func TestCheckpointFramesPrecedeSnapshot(t *testing.T) {
 	}
 }
 
+// instantRunner streams one checkpoint per instant, then an empty
+// snapshot.
+type instantRunner []time.Time
+
+func (r instantRunner) Name() string { return "instants" }
+
+func (r instantRunner) Run(ctx context.Context, spec shard.Spec, onCheckpoint func([]byte, time.Time) error) (*state.Snapshot, error) {
+	for i, at := range r {
+		if err := onCheckpoint([]byte{byte('a' + i)}, at); err != nil {
+			return nil, err
+		}
+	}
+	return &state.Snapshot{}, nil
+}
+
+// TestClientForwardsCutInstants: each checkpoint reaches the client's
+// callback with the instant the worker's runner cut it at, and a
+// checkpoint frame without an instant, as a worker that does not send
+// one streams it, arrives with the zero time.
+func TestClientForwardsCutInstants(t *testing.T) {
+	want := []time.Time{
+		time.Date(2022, 3, 1, 0, 10, 0, 0, time.UTC),
+		time.Date(2022, 3, 2, 0, 10, 0, 5, time.FixedZone("x", 3600)),
+	}
+	client := serve(t, &Server{Runner: instantRunner(want)})
+	var got []time.Time
+	if _, err := client.Run(context.Background(), testSpec(), func(_ []byte, at time.Time) error {
+		got = append(got, at)
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if len(got) != len(want) || !got[0].Equal(want[0]) || !got[1].Equal(want[1]) {
+		t.Fatalf("client forwarded instants %v, the runner cut at %v", got, want)
+	}
+
+	snap, err := state.EncodeSnapshotWire(&state.Snapshot{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	old, err := json.Marshal(map[string][]byte{"checkpoint": []byte("c1")})
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, err := json.Marshal(frame{Snapshot: snap})
+	if err != nil {
+		t.Fatal(err)
+	}
+	client = &Client{Endpoint: "old", HTTPClient: &http.Client{Transport: bodyTransport(append(append(old, '\n'), body...))}}
+	got = nil
+	if _, err := client.Run(context.Background(), testSpec(), func(_ []byte, at time.Time) error {
+		got = append(got, at)
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if len(got) != 1 || !got[0].IsZero() {
+		t.Fatalf("a checkpoint frame without an instant was forwarded with %v, want one zero time", got)
+	}
+}
+
 func TestErrorFrameIsNotTransient(t *testing.T) {
 	client := serve(t, &Server{Runner: &fakeRunner{checkpoints: []string{"c1"}, err: errors.New("spec refused")}})
-	_, err := client.Run(context.Background(), testSpec(), func([]byte) error { return nil })
+	_, err := client.Run(context.Background(), testSpec(), func([]byte, time.Time) error { return nil })
 	if err == nil || !strings.Contains(err.Error(), "spec refused") {
 		t.Fatalf("Run = %v, want the worker's error", err)
 	}
@@ -106,7 +168,7 @@ func TestTransportFailuresAreTransient(t *testing.T) {
 	}
 	for _, tc := range cases {
 		client := serve(t, tc.h)
-		_, err := client.Run(context.Background(), testSpec(), func([]byte) error { return nil })
+		_, err := client.Run(context.Background(), testSpec(), func([]byte, time.Time) error { return nil })
 		if err == nil || !retry.IsTransient(err) || !strings.Contains(err.Error(), tc.want) {
 			t.Errorf("%s: Run = %v, want a transient error mentioning %q", tc.name, err, tc.want)
 		}
@@ -117,7 +179,7 @@ func TestCheckpointCallbackErrorFailsRun(t *testing.T) {
 	runner := &fakeRunner{checkpoints: []string{"c1", "c2"}, snap: &state.Snapshot{}}
 	client := serve(t, &Server{Runner: runner})
 	lost := errors.New("coordinator lost the checkpoint")
-	_, err := client.Run(context.Background(), testSpec(), func([]byte) error { return lost })
+	_, err := client.Run(context.Background(), testSpec(), func([]byte, time.Time) error { return lost })
 	if !errors.Is(err, lost) {
 		t.Fatalf("Run = %v, want the checkpoint callback's error", err)
 	}
@@ -159,7 +221,7 @@ func TestServerRejectsOversizedSpec(t *testing.T) {
 	}
 
 	client := serve(t, srv)
-	_, err = client.Run(context.Background(), big, func([]byte) error { return nil })
+	_, err = client.Run(context.Background(), big, func([]byte, time.Time) error { return nil })
 	if err == nil || !retry.IsTransient(err) || !strings.Contains(err.Error(), "status 413") {
 		t.Fatalf("Run(oversized spec) = %v, want a transient 413", err)
 	}
@@ -168,7 +230,7 @@ func TestServerRejectsOversizedSpec(t *testing.T) {
 	}
 	small := testSpec()
 	small.Resume = make([]byte, 1<<10)
-	if _, err := client.Run(context.Background(), small, func([]byte) error { return nil }); err != nil {
+	if _, err := client.Run(context.Background(), small, func([]byte, time.Time) error { return nil }); err != nil {
 		t.Fatalf("Run(spec under the cap) = %v", err)
 	}
 	if n := runner.runs.Load(); n != 1 {
@@ -182,7 +244,7 @@ type countingRunner struct {
 	runs atomic.Int64
 }
 
-func (r *countingRunner) Run(ctx context.Context, spec shard.Spec, onCheckpoint func([]byte) error) (*state.Snapshot, error) {
+func (r *countingRunner) Run(ctx context.Context, spec shard.Spec, onCheckpoint func([]byte, time.Time) error) (*state.Snapshot, error) {
 	r.runs.Add(1)
 	return r.fakeRunner.Run(ctx, spec, onCheckpoint)
 }

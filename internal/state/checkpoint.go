@@ -58,14 +58,11 @@ const checkpointVersion = 1
 // over the worker RPC; Kind distinguishes the two so neither decoder can be
 // fed the other's payload (empty Kind means "checkpoint", for files written
 // before the tag existed).
-type checkpointFile = envelopeOf[json.RawMessage]
-
-// envelopeOf is the envelope with its payload decoded as P.
-type envelopeOf[P any] struct {
-	Version int    `json:"version"`
-	Kind    string `json:"kind,omitempty"`
-	SHA256  string `json:"sha256"`
-	Payload P      `json:"payload"`
+type checkpointFile struct {
+	Version int             `json:"version"`
+	Kind    string          `json:"kind,omitempty"`
+	SHA256  string          `json:"sha256"`
+	Payload json.RawMessage `json:"payload"`
 }
 
 // envelopeForm is one kind of envelope: its tag and version, and the
@@ -90,28 +87,19 @@ var (
 	}
 )
 
-// check rejects an envelope head of another kind or version. A
-// checkpoint's empty kind reads as "checkpoint" (files written before
-// the tag existed).
-func (e envelopeForm) check(kind string, version int) error {
-	if kind != e.kind && !(kind == "" && e.kind == kindCheckpoint) {
-		return fmt.Errorf("state: %s has kind %q, want %q", e.kindErr, kind, e.kind)
-	}
-	if version != e.version {
-		return fmt.Errorf("state: %s format version %d, want %d", e.name, version, e.version)
-	}
-	return nil
-}
-
-// open parses data as an envelope of this form, verifies the payload's
-// hash, and returns the payload.
+// open parses data as an envelope of this form, checks its kind (a
+// checkpoint's empty kind predates the tag) and version, verifies the
+// payload's hash, and returns the payload.
 func (e envelopeForm) open(data []byte) (json.RawMessage, error) {
 	var f checkpointFile
 	if err := json.Unmarshal(data, &f); err != nil {
 		return nil, fmt.Errorf("state: %s (truncated or not JSON): %w", e.notEnvelope, err)
 	}
-	if err := e.check(f.Kind, f.Version); err != nil {
-		return nil, err
+	if f.Kind != e.kind && !(f.Kind == "" && e.kind == kindCheckpoint) {
+		return nil, fmt.Errorf("state: %s has kind %q, want %q", e.kindErr, f.Kind, e.kind)
+	}
+	if f.Version != e.version {
+		return nil, fmt.Errorf("state: %s format version %d, want %d", e.name, f.Version, e.version)
 	}
 	sum := sha256.Sum256(f.Payload)
 	if got := hex.EncodeToString(sum[:]); got != f.SHA256 {

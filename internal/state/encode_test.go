@@ -256,49 +256,6 @@ func TestEnvelopeFieldsWritten(t *testing.T) {
 	}
 }
 
-// TestPeekAgreesWithDecode checks PeekCheckpointInstant against
-// DecodeCheckpoint on every prefix and on single-byte corruptions of
-// encoded checkpoints: wherever the full decoder accepts the bytes, the
-// peek returns the same instant, and no input makes it panic.
-func TestPeekAgreesWithDecode(t *testing.T) {
-	long := sampleCheckpoint()
-	long.Fingerprint = strings.Repeat("v2 {\"seed\":7} ", 40)
-	long.SimNow = time.Date(2023, 1, 2, 3, 4, 5, 6, time.FixedZone("x", 3600))
-	for _, c := range []*Checkpoint{sampleCheckpoint(), long} {
-		data, err := EncodeCheckpoint(c)
-		if err != nil {
-			t.Fatal(err)
-		}
-		agree := func(label string, b []byte) {
-			t.Helper()
-			at, perr := PeekCheckpointInstant(b)
-			d, derr := DecodeCheckpoint(b)
-			if derr != nil {
-				return
-			}
-			if perr != nil || !at.Equal(d.SimNow) {
-				t.Fatalf("%s: peek (%v, %v), decode %v", label, at, perr, d.SimNow)
-			}
-		}
-		agree("intact", data)
-		simEnd := bytes.Index(data, []byte(`"sim_now":`)) + len(`"sim_now":`) + len(c.SimNow.Format(time.RFC3339Nano)) + 2
-		for n := 0; n < len(data); n++ {
-			agree("truncated", data[:n])
-			_, err := PeekCheckpointInstant(data[:n])
-			if n < simEnd && err == nil {
-				t.Fatalf("peek accepted a checkpoint cut at byte %d, before sim_now ends at %d", n, simEnd)
-			}
-		}
-		for i := range data {
-			for _, b := range []byte{'x', '"'} {
-				bad := bytes.Clone(data)
-				bad[i] = b
-				agree("corrupted", bad)
-			}
-		}
-	}
-}
-
 // benchCheckpoint is a checkpoint holding n records shaped like a
 // study's: a hosted FWB target, six feed verdicts, five VT detections and
 // a twenty-class page signature each (about 2.4 KB of JSON per record).

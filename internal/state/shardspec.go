@@ -190,42 +190,3 @@ func DecodeSnapshotWire(data []byte) (*Snapshot, error) {
 	}
 	return &s, nil
 }
-
-// PeekCheckpointInstant reads the sim instant out of an encoded checkpoint
-// without verifying the payload or decoding more of it than sim_now. The
-// coordinator calls it per streamed checkpoint to timestamp ops events
-// and the /dash shard panel; the full DecodeCheckpoint still runs (and
-// verifies) before any adoption. It decodes with encoding/json and checks
-// the head as DecodeCheckpoint does, so wherever DecodeCheckpoint accepts
-// the bytes the peek returns the same instant.
-func PeekCheckpointInstant(data []byte) (time.Time, error) {
-	var f envelopeOf[*peekPayload]
-	if err := json.Unmarshal(data, &f); err != nil {
-		return time.Time{}, fmt.Errorf("state: peek checkpoint: %w", err)
-	}
-	if err := checkpointEnvelope.check(f.Kind, f.Version); err != nil {
-		return time.Time{}, err
-	}
-	if f.Payload == nil {
-		return time.Time{}, fmt.Errorf("state: peek checkpoint: envelope has no payload")
-	}
-	return f.Payload.SimNow, nil
-}
-
-// peekPayload is the part of a checkpoint payload the peek reads.
-type peekPayload struct {
-	SimNow time.Time
-}
-
-// UnmarshalJSON decodes each payload afresh. Unmarshal reuses a struct
-// it decodes into, so without this a repeated "payload" key lacking
-// sim_now would keep the first one's instant, where DecodeCheckpoint,
-// which decodes only the last payload, reads the zero instant.
-func (p *peekPayload) UnmarshalJSON(b []byte) error {
-	var v struct {
-		SimNow time.Time `json:"sim_now"`
-	}
-	err := json.Unmarshal(b, &v)
-	p.SimNow = v.SimNow
-	return err
-}
