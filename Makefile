@@ -88,7 +88,7 @@ VERIFY_resume := TestResumeByteIdentical|TestCheckpointCutsMatchReference|TestRe
 # field must move the fingerprint, a spec with every travelling knob set
 # must keep its pinned wire and fingerprint bytes, an unsharded run must
 # keep its pinned checkpoint fingerprint, and a spec with an out-of-range
-# shard position or an oversized workers or queue_depth must be refused.
+# shard position or any oversized knob that sizes work must be refused.
 # A spec or adoption checkpoint that still carries the retired
 # snapshot_cache_size key must decode, fingerprint the same and run.
 VERIFY_remote-shards := TestRemoteShardDeterminism|TestWorkerBreakerFailover|TestConfigSpecRoundTrip|TestSpecFingerprintFields|TestSpecBytesPinned|TestUnshardedFingerprintPinned|TestSpecRunnerRejectsShardOutOfRange|TestSpecRunnerRejectsOversizedSpec|TestRetiredSnapshotCacheSizeDecodes

@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"fmt"
+	"strconv"
 	"strings"
 	"sync"
 	"time"
@@ -185,11 +186,71 @@ func (f *FreePhish) shardSpec(i, stride int) state.ShardSpec {
 	return sp
 }
 
-// MaxSpecParallelism bounds a spec's Workers and QueueDepth. Both arrive
-// over the network and size per-stage goroutine pools, channels and the
-// trainers' parallelism, so SpecRunner refuses a spec above it before it
-// builds or trains anything.
-const MaxSpecParallelism = 1024
+// Spec bounds. Every knob of a dispatched spec arrives over the network,
+// and those below size a shard's work, so SpecRunner refuses a spec above
+// any of them before it builds or trains anything (checkSpecBounds). Each
+// admits DefaultConfig, the paper's study, with room to spare.
+const (
+	// MaxSpecParallelism bounds Workers and QueueDepth, which size
+	// per-stage goroutine pools, channels and the trainers' parallelism.
+	MaxSpecParallelism = 1024
+	// maxSpecPopulation bounds each of the four populations. One
+	// population alone may hold the 4.5M free-hosting URLs of
+	// arXiv:2212.02563 (the paper's largest is 19,724).
+	maxSpecPopulation = 5_000_000
+	// maxSpecPerPost bounds BenignPerPhish and ReshareRate, the posts
+	// added per phishing post (the paper's are 0.5 and 0.4).
+	maxSpecPerPost = 10
+	// maxSpecPollCycles bounds Duration / PollInterval, the number of poll
+	// cycles: 38 times the paper's 26,208 (six months of ten-minute polls).
+	maxSpecPollCycles = 1_000_000
+	// maxSpecMonitorTicks bounds MonitorHorizon / MonitorInterval, the
+	// re-checks per flagged record: one a minute for the week, ten times
+	// the paper's 1,008 ten-minute re-checks.
+	maxSpecMonitorTicks = 10_080
+	// maxSpecTrainCorpus bounds TrainPerClass × Scale, the ground-truth
+	// corpus per class: about ten times the paper's 4,656.
+	maxSpecTrainCorpus = 50_000
+)
+
+// checkSpecBounds refuses a spec with a knob above its bound. A
+// non-positive Scale or PollInterval is read as New reads it.
+func checkSpecBounds(sp state.ShardSpec) error {
+	scale, poll, ticks := sp.Scale, sp.PollInterval, 0.0
+	if scale <= 0 {
+		scale = 1
+	}
+	if poll <= 0 {
+		poll = DefaultConfig().PollInterval
+	}
+	if sp.MonitorInterval > 0 {
+		ticks = float64(MonitorHorizon / sp.MonitorInterval)
+	}
+	for _, b := range []struct {
+		field        string
+		value, limit float64
+	}{
+		{"workers", float64(sp.Workers), MaxSpecParallelism},
+		{"queue_depth", float64(sp.QueueDepth), MaxSpecParallelism},
+		{"scale", scale, 1},
+		{"fwb_twitter", float64(sp.FWBTwitter), maxSpecPopulation},
+		{"fwb_facebook", float64(sp.FWBFacebook), maxSpecPopulation},
+		{"self_twitter", float64(sp.SelfTwitter), maxSpecPopulation},
+		{"self_facebook", float64(sp.SelfFacebook), maxSpecPopulation},
+		{"benign_per_phish", sp.BenignPerPhish, maxSpecPerPost},
+		{"reshare_rate", sp.ReshareRate, maxSpecPerPost},
+		{"duration/poll_interval", float64(sp.Duration / poll), maxSpecPollCycles},
+		{"monitor_horizon/monitor_interval", ticks, maxSpecMonitorTicks},
+		{"train_per_class*scale", float64(sp.TrainPerClass) * scale, maxSpecTrainCorpus},
+	} {
+		// Written so that NaN is refused too.
+		if !(b.value <= b.limit) {
+			return fmt.Errorf("core: spec %s %s exceeds the limit of %s", b.field,
+				strconv.FormatFloat(b.value, 'f', -1, 64), strconv.FormatFloat(b.limit, 'f', -1, 64))
+		}
+	}
+	return nil
+}
 
 // SpecRunner is the one shard.Runner that executes shards: it rebuilds a
 // complete framework from each spec, runs it to completion, audits its
@@ -259,11 +320,8 @@ func (r *SpecRunner) run(spec shard.Spec, onCheckpoint func(data []byte, at time
 	if spec.Shards < 1 || spec.Shard < 0 || spec.Shard >= spec.Shards {
 		return nil, fmt.Errorf("core: shard position %d/%d out of range", spec.Shard, spec.Shards)
 	}
-	if spec.Workers > MaxSpecParallelism {
-		return nil, fmt.Errorf("core: spec workers %d exceeds the limit of %d", spec.Workers, MaxSpecParallelism)
-	}
-	if spec.QueueDepth > MaxSpecParallelism {
-		return nil, fmt.Errorf("core: spec queue_depth %d exceeds the limit of %d", spec.QueueDepth, MaxSpecParallelism)
+	if err := checkSpecBounds(spec.ShardSpec); err != nil {
+		return nil, err
 	}
 	// The spec is one shard; its position rides in shardIndex/shardCount.
 	// The observability hooks stay nil: the coordinator or worker daemon

@@ -350,11 +350,11 @@ func TestSpecRunnerRejectsShardOutOfRange(t *testing.T) {
 	}
 }
 
-// TestSpecRunnerRejectsOversizedSpec pins the runner's bound on the
-// spec's workers and queue_depth through the worker's wire stack: both
-// size goroutine pools and channels, so a spec above MaxSpecParallelism
-// gets a definitive (non-transient) error frame naming the field before
-// anything is built or trained. Nothing runs at the refused values.
+// TestSpecRunnerRejectsOversizedSpec pins the runner's bounds through the
+// worker's wire stack: a spec with any knob that sizes work above its
+// bound (checkSpecBounds) gets a definitive (non-transient) error frame
+// naming the field before anything is built or trained. Nothing runs at
+// the refused values.
 func TestSpecRunnerRejectsOversizedSpec(t *testing.T) {
 	runner := NewSpecRunner()
 	runner.train = func(trainKey, int) (*trainedModels, error) {
@@ -371,6 +371,16 @@ func TestSpecRunnerRejectsOversizedSpec(t *testing.T) {
 	}{
 		{"workers", func(s *shard.Spec) { s.Workers = 1 << 40 }},
 		{"queue_depth", func(s *shard.Spec) { s.QueueDepth = 1 << 40 }},
+		{"scale", func(s *shard.Spec) { s.Scale = 1e6 }},
+		{"fwb_twitter", func(s *shard.Spec) { s.FWBTwitter = 1 << 40 }},
+		{"fwb_facebook", func(s *shard.Spec) { s.FWBFacebook = 1 << 40 }},
+		{"self_twitter", func(s *shard.Spec) { s.SelfTwitter = 1 << 40 }},
+		{"self_facebook", func(s *shard.Spec) { s.SelfFacebook = 1 << 40 }},
+		{"benign_per_phish", func(s *shard.Spec) { s.BenignPerPhish = 1e6 }},
+		{"reshare_rate", func(s *shard.Spec) { s.ReshareRate = 1e6 }},
+		{"duration/poll_interval", func(s *shard.Spec) { s.PollInterval = 1 }},
+		{"monitor_horizon/monitor_interval", func(s *shard.Spec) { s.MonitorInterval = 1 }},
+		{"train_per_class*scale", func(s *shard.Spec) { s.TrainPerClass = 1 << 40 }},
 	} {
 		spec := shard.Spec{ShardSpec: coordinator.shardSpec(0, 1)}
 		spec.Shards = 1
@@ -378,10 +388,10 @@ func TestSpecRunnerRejectsOversizedSpec(t *testing.T) {
 		spec.Fingerprint = specFingerprint(spec.ShardSpec)
 		snap, err := client.Run(context.Background(), spec, nil)
 		if err == nil {
-			t.Fatalf("%s 1<<40: runner returned a snapshot with %d records; want an error frame", tc.field, len(snap.Records))
+			t.Fatalf("oversized %s: runner returned a snapshot with %d records; want an error frame", tc.field, len(snap.Records))
 		}
 		if retry.IsTransient(err) || !strings.Contains(err.Error(), "spec "+tc.field+" ") {
-			t.Fatalf("%s 1<<40: err = %v (transient=%v); want a plain error naming %s", tc.field, err, retry.IsTransient(err), tc.field)
+			t.Fatalf("oversized %s: err = %v (transient=%v); want a plain error naming %s", tc.field, err, retry.IsTransient(err), tc.field)
 		}
 	}
 }
