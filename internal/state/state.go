@@ -203,8 +203,10 @@ func (s *StudyState) Observations() map[string]*Observation { return s.observati
 // which is what makes an N-shard merge byte-identical to the 1-shard
 // record stream (within one poll cycle the 1-shard pipeline admits in
 // stream order; the canonical order is a pure function of the records).
-func (s *StudyState) SortRecords() {
-	recs := s.study.Records
+func (s *StudyState) SortRecords() { sortRecords(s.study.Records) }
+
+// sortRecords puts recs in the canonical order SortRecords and Merge share.
+func sortRecords(recs []*analysis.Record) {
 	sort.SliceStable(recs, func(i, j int) bool {
 		if !recs[i].ClassifiedAt.Equal(recs[j].ClassifiedAt) {
 			return recs[i].ClassifiedAt.Before(recs[j].ClassifiedAt)
@@ -296,12 +298,7 @@ func Merge(snaps ...*Snapshot) *Snapshot {
 			out.Events = append(out.Events, sn.Events...)
 		}
 	}
-	sort.SliceStable(out.Records, func(i, j int) bool {
-		if !out.Records[i].ClassifiedAt.Equal(out.Records[j].ClassifiedAt) {
-			return out.Records[i].ClassifiedAt.Before(out.Records[j].ClassifiedAt)
-		}
-		return out.Records[i].Target.URL < out.Records[j].Target.URL
-	})
+	sortRecords(out.Records)
 	out.Seen = make([]string, 0, len(seen))
 	for u := range seen {
 		out.Seen = append(out.Seen, u)
