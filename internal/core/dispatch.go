@@ -68,17 +68,7 @@ func (f *FreePhish) newDispatcher() *dispatcher {
 			Seed:             f.Config.Seed,
 			BreakerThreshold: 2,
 			BreakerCooldown:  30 * time.Second,
-			OnBreaker: func(key string, open bool) {
-				transition := "close"
-				if open {
-					transition = "open"
-				}
-				f.Metrics.BreakerEvents.With("worker|"+key, transition).Inc()
-				if j := f.Metrics.Journal; j != nil {
-					j.RecordOps("", obs.EvBreaker,
-						"key", "worker|"+key, "transition", transition)
-				}
-			},
+			OnBreaker:        func(key string, open bool) { f.observeBreaker("worker|"+key, open) },
 		}
 	}
 	return d

@@ -226,16 +226,7 @@ func (f *FreePhish) wireMetrics() {
 					"key", key, "attempts", itoa(attempts), "err", err.Error())
 			}
 		}
-		pol.OnBreaker = func(key string, open bool) {
-			transition := "close"
-			if open {
-				transition = "open"
-			}
-			m.BreakerEvents.With(key, transition).Inc()
-			if j := f.Metrics.Journal; j != nil {
-				j.RecordOps("", obs.EvBreaker, "key", key, "transition", transition)
-			}
-		}
+		pol.OnBreaker = f.observeBreaker
 	}
 	if f.injector != nil {
 		f.injector.Observe = func(kind, endpoint, key string) {
@@ -260,6 +251,20 @@ func (f *FreePhish) wireMetrics() {
 			"Tokens currently available in the poller's quota bucket.", func() float64 {
 				return lim.Tokens()
 			})
+	}
+}
+
+// observeBreaker counts a circuit breaker's transition and records it as
+// an ops event. It observes the world-port breakers and, under keys
+// prefixed "worker|", the shard dispatcher's per-worker ones.
+func (f *FreePhish) observeBreaker(key string, open bool) {
+	transition := "close"
+	if open {
+		transition = "open"
+	}
+	f.Metrics.BreakerEvents.With(key, transition).Inc()
+	if j := f.Metrics.Journal; j != nil {
+		j.RecordOps("", obs.EvBreaker, "key", key, "transition", transition)
 	}
 }
 
