@@ -242,11 +242,11 @@ func checkSpecBounds(sp state.ShardSpec) error {
 	return nil
 }
 
-// SpecRunner is the one shard.Runner that executes shards: it rebuilds a
+// SpecRunner is the one runner that executes shards: it rebuilds a
 // complete framework from each spec, runs it to completion, audits its
 // world, and snapshots it. The coordinator's in-process fallback and the
-// worker daemon (cmd/freephish-worker, behind shardrpc.Server) run the
-// same code. Trained models are cached per training input (trainKey) —
+// worker daemon (cmd/freephish-worker, Port behind shardrpc.Server) run
+// the same code. Trained models are cached per training input (trainKey) —
 // training is a pure function of it, so a worker training from the spec
 // yields byte-for-byte the models the coordinator holds, the coordinator's
 // own runner starts with its models in the cache, and every later shard of
@@ -275,7 +275,7 @@ func NewSpecRunner() *SpecRunner {
 	return &SpecRunner{models: make(map[trainKey]*trainedModels)}
 }
 
-// Name implements shard.Runner.
+// Name names the runner behind the shard.Runner port.
 func (r *SpecRunner) Name() string { return "worker" }
 
 // Run is Port().Run for callers that keep only the checkpoint bytes, as
@@ -300,7 +300,7 @@ func (p specPort) Run(ctx context.Context, spec shard.Spec, onCheckpoint func(da
 	return p.run(spec, onCheckpoint, nil)
 }
 
-// run is Run with prep, when non-nil, invoked on the built child just
+// run is Port's Run with prep, when non-nil, invoked on the child just
 // before it runs. A panic inside the child (the local analogue of a
 // worker crash) is converted to an error so the adoption loop can hand
 // the streamed checkpoint to a replacement instead of unwinding the study.
