@@ -47,9 +47,10 @@ VERIFY_backends := TestCrossBackendEquivalence|TestFetchStageParsesOnce
 # backends with the same study.
 VERIFY_chaos := TestStudyUnderFaultsDeterministic|TestBlackoutSurvivedAndObserved|TestChaosReachesEveryPollEndpoint|TestChaosReachesSnapshotSource
 # stream: the same seed at every (workers × queue-depth × backend)
-# combination must yield a byte-identical study, and a failed poll must
-# end the run at once.
-VERIFY_stream := TestStudyDeterminismAcrossQueueDepths|TestRunEndsImmediatelyOnPollError
+# combination must yield a byte-identical study, a failed poll must end
+# the run at once, and a study must start its poll and monitor graphs'
+# goroutines once, not once per busy cycle, and stop them when Run returns.
+VERIFY_stream := TestStudyDeterminismAcrossQueueDepths|TestRunEndsImmediatelyOnPollError|TestLexicalAdmissionSignature
 # journal: the same seed must yield a byte-identical event journal at
 # every (workers × queue-depth × backend) setting — including soaked in
 # the default fault profile — and the journal must agree with the

@@ -6,8 +6,10 @@ import (
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
+	"runtime"
 	"strings"
 	"testing"
+	"time"
 
 	"freephish/internal/baselines"
 	"freephish/internal/faults"
@@ -176,10 +178,27 @@ func TestCascadeDegenerateEquivalence(t *testing.T) {
 // admission. Full-path admissions take it from the fetch stage's parse; a
 // lexical record was never fetched and has no parse, so its signature is
 // the empty page's: an empty, non-nil signature.
+//
+// The same run, with the cascade and the monitor on, checks that a study
+// starts its graph goroutines once: the goroutine count is the same at
+// every busy poll cycle, is bounded by the graphs' stages × workers
+// however many cycles run, and falls back to the baseline once Run
+// returns.
 func TestLexicalAdmissionSignature(t *testing.T) {
 	cfg := streamSweepConfig(2, 4, BackendInproc)
 	setCascade(t, &cfg, "on")
-	f := newCached(cfg)
+	base := settledGoroutines()
+	var f *FreePhish
+	var busy []int
+	fresh := 0
+	cfg.Progress = func(ev ProgressEvent) {
+		// A cycle is busy when a posted URL survived dedup into the graph.
+		if n := ev.PostsSeen - int(f.Metrics.URLsDeduped.Value()); n > fresh {
+			fresh = n
+			busy = append(busy, runtime.NumGoroutine())
+		}
+	}
+	f = newCached(cfg)
 	study, err := f.Run()
 	if err != nil {
 		t.Fatal(err)
@@ -197,4 +216,38 @@ func TestLexicalAdmissionSignature(t *testing.T) {
 	if lexical == 0 {
 		t.Fatal("no lexical admissions; the check is vacuous")
 	}
+
+	// Four stages (triage, fetch, classify, check), each a worker pool, a
+	// closer and a reorder emitter, and one source per graph.
+	bound := base + 4*(cfg.Workers+2) + 2
+	if len(busy) < 2 {
+		t.Fatalf("%d busy cycles; the goroutine check is vacuous", len(busy))
+	}
+	for i, n := range busy {
+		if n != busy[0] || n <= base || n > bound {
+			t.Fatalf("busy cycle %d ran with %d goroutines, the first with %d (baseline %d, bound %d): graph goroutines must start once per study", i, n, busy[0], base, bound)
+		}
+	}
+	deadline := time.Now().Add(2 * time.Second)
+	for runtime.NumGoroutine() > base && time.Now().Before(deadline) {
+		time.Sleep(10 * time.Millisecond)
+	}
+	if n := runtime.NumGoroutine(); n > base {
+		t.Fatalf("%d goroutines alive after Run, baseline %d: the study's graphs leaked", n, base)
+	}
+}
+
+// settledGoroutines waits for goroutines that earlier tests left winding
+// down to exit, and returns the settled count.
+func settledGoroutines() int {
+	n := runtime.NumGoroutine()
+	for deadline := time.Now().Add(2 * time.Second); time.Now().Before(deadline); {
+		time.Sleep(20 * time.Millisecond)
+		m := runtime.NumGoroutine()
+		if m == n {
+			break
+		}
+		n = m
+	}
+	return n
 }

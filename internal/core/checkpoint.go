@@ -217,9 +217,7 @@ func (f *FreePhish) restoreRun(chk *state.Checkpoint) error {
 	// their recording instants (Ord), post-resume events append, and
 	// finishRun's canonical sort interleaves them exactly as the
 	// uninterrupted run would have.
-	if f.Metrics.Journal != nil {
-		f.Metrics.Journal = obs.RebuildJournal(f.Clock.Now, obs.DefaultJournalRing, chk.Snapshot.Events)
-	}
+	f.Metrics.Journal.Rebuild(chk.Snapshot.Events)
 	// 6. Cursors the snapshot cannot rebuild.
 	if chk.Poller != nil {
 		f.poller.RestoreState(chk.Poller)

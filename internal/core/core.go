@@ -197,6 +197,11 @@ type FreePhish struct {
 	// the sink or Config.CheckpointPath is set). Shard children stream
 	// their cuts through it; tests capture every cut point with it.
 	checkpointSink func(data []byte, at time.Time) error
+
+	// graphs are the run's poll and monitor dataflow graphs, built on the
+	// first busy poll cycle or monitor tick and closed when runLocal
+	// returns (see buildGraphs).
+	graphs *studyGraphs
 }
 
 // Stats returns the run's operational counters.
@@ -297,6 +302,10 @@ func (f *FreePhish) runLocal() (*analysis.Study, error) {
 		return nil, err
 	}
 	defer f.stopServers()
+	// Deferred after stopServers so it runs first: a graph stopped by a
+	// failure or a panic mid-cycle finishes its in-flight fetches against
+	// live servers.
+	defer f.closeGraphs()
 
 	f.Sim.SchedulePosts(world.PostingPlan{
 		FWBTwitter:     f.Config.scaled(f.Config.FWBTwitter),
@@ -374,8 +383,7 @@ func (f *FreePhish) runLocal() (*analysis.Study, error) {
 func (f *FreePhish) finishRun() {
 	f.State.SortRecords()
 	if j := f.Metrics.Journal; j != nil {
-		f.Metrics.Journal = obs.RebuildJournal(
-			f.Clock.Now, obs.DefaultJournalRing, obs.SortCanonical(j.Events()))
+		j.Rebuild(obs.SortCanonical(j.Events()))
 	}
 }
 
@@ -385,18 +393,21 @@ func (f *FreePhish) finishRun() {
 //
 // The cycle is a streamed dataflow: dedup runs first, single-threaded in
 // stream order (so intra-cycle reshares resolve deterministically), then
-// the fresh URLs flow through a poll → fetch → classify → ordered-apply
-// pipeline (internal/pipe). Fetch and classify each run on their own
-// worker pool connected by bounded queues, so network wait overlaps CPU
-// scoring and one slow fetch backpressures instead of buffering the cycle;
-// the reorder buffer hands results to apply in stream order the moment the
-// head-of-line item completes, which bounds per-cycle memory by (Workers +
-// QueueDepth), never by cycle size. Stage functions touch only read-only
-// or thread-safe state; every stateful effect, including all world-side
-// RNG draws, happens in the ordered apply phase, which is what makes the
-// study bit-identical at every Config.Workers and Config.QueueDepth
-// setting — and, because the apply phase issues its port calls strictly in
-// stream order, at every Config.Backend setting too.
+// the fresh URLs are pushed as one batch into the run's poll graph (see
+// buildGraphs), and exactly that many results are pulled back into the
+// ordered apply phase before the cycle returns. Fetch and classify each
+// run on their own worker pool connected by bounded queues, so network
+// wait overlaps CPU scoring and one slow fetch backpressures instead of
+// buffering the cycle; the reorder buffer hands results to apply in
+// stream order the moment the head-of-line item completes, which bounds
+// per-cycle memory by (Workers + QueueDepth), never by cycle size. Stage
+// functions touch only read-only or thread-safe state; every stateful
+// effect, including all world-side RNG draws, happens in the ordered
+// apply phase, which is what makes the study bit-identical at every
+// Config.Workers and Config.QueueDepth setting — and, because the apply
+// phase issues its port calls strictly in stream order, at every
+// Config.Backend setting too. An empty cycle pushes nothing, and a study
+// whose every cycle is empty never builds the graph.
 func (f *FreePhish) pollOnce(now time.Time) (err error) {
 	sp := f.Metrics.Tracer.Start("poll")
 	defer func() {
@@ -424,42 +435,97 @@ func (f *FreePhish) pollOnce(now time.Time) (err error) {
 	}
 	if len(fresh) == 0 {
 		// With no item the graph would emit, journal, and apply nothing;
-		// most cycles of a long study are empty, so skip building it.
+		// most cycles of a long study are empty, so skip it.
 		return nil
 	}
-	p := pipe.New(context.Background(), pipe.Options{
+	g := f.ensureGraphs()
+	g.pollIn.Push(fresh)
+	return pipe.Pull(g.pollOut, len(fresh), func(i int, pr *probeResult) error {
+		return f.applyProbe(pr, now)
+	})
+}
+
+// studyGraphs holds a run's long-lived dataflow graphs: the poll graph
+// every busy cycle feeds, and the §4.4 monitor graph every tick feeds
+// (nil when the monitor is off).
+type studyGraphs struct {
+	poll       *pipe.Pipeline
+	pollIn     *pipe.Inlet[crawler.StreamedURL]
+	pollOut    *pipe.Flow[*probeResult]
+	monitor    *pipe.Pipeline
+	monitorIn  *pipe.Inlet[monitorCheck]
+	monitorOut *pipe.Flow[bool]
+}
+
+// ensureGraphs returns the run's graphs, building them on first use.
+func (f *FreePhish) ensureGraphs() *studyGraphs {
+	if f.graphs == nil {
+		f.graphs = f.buildGraphs(context.Background())
+	}
+	return f.graphs
+}
+
+// closeGraphs stops the run's graphs and joins their goroutines.
+func (f *FreePhish) closeGraphs() {
+	if g := f.graphs; g != nil {
+		g.poll.Close()
+		if g.monitor != nil {
+			g.monitor.Close()
+		}
+		f.graphs = nil
+	}
+}
+
+// buildGraphs builds the run's graphs on ctx. The poll graph is
+// poll → fetch → classify: with the cascade on, a triage stage scores
+// every fresh URL from its string alone ahead of fetch, and confident
+// verdicts short-circuit the fetch stage entirely (fetchProbe passes them
+// through untouched); with it off, the graph is exactly the historical
+// fetch → classify pair — triage is not in the pipeline at all. The
+// monitor graph is one check stage over (record, check) items. Every
+// stage resolves its instruments once, here.
+func (f *FreePhish) buildGraphs(ctx context.Context) *studyGraphs {
+	g := &studyGraphs{}
+	workers, depth := f.workers(), f.queueDepth()
+	g.poll = pipe.New(ctx, pipe.Options{
 		Name: "poll", Registry: f.Metrics.Registry,
 		OnEmit: journalEmit(f.Metrics.Journal, "poll"),
 	})
-	depth := f.queueDepth()
-	// With the cascade on, a triage stage scores every fresh URL from its
-	// string alone ahead of fetch; confident verdicts short-circuit the
-	// fetch stage entirely (fetchProbe passes them through untouched).
-	// With it off, the graph is exactly the historical fetch → classify
-	// pair — triage is not in the pipeline at all.
+	var src *pipe.Flow[crawler.StreamedURL]
+	g.pollIn, src = pipe.Feed[crawler.StreamedURL](g.poll, depth)
 	var fetched *pipe.Flow[*probeResult]
 	if f.cascade != nil {
-		triaged := pipe.Stage(pipe.Source(p, depth, fresh), "triage", f.workers(), depth,
+		triaged := pipe.Stage(src, "triage", workers, depth,
 			func(i int, su crawler.StreamedURL) (*probeResult, error) {
 				return f.triageURL(su), nil
 			})
-		fetched = pipe.Stage(triaged, "fetch", f.workers(), depth,
+		fetched = pipe.Stage(triaged, "fetch", workers, depth,
 			func(i int, pr *probeResult) (*probeResult, error) {
 				return f.fetchProbe(pr), nil
 			})
 	} else {
-		fetched = pipe.Stage(pipe.Source(p, depth, fresh), "fetch", f.workers(), depth,
+		fetched = pipe.Stage(src, "fetch", workers, depth,
 			func(i int, su crawler.StreamedURL) (*probeResult, error) {
 				return f.fetchURL(su), nil
 			})
 	}
-	classified := pipe.Stage(fetched, "classify", f.workers(), depth,
+	g.pollOut = pipe.Stage(fetched, "classify", workers, depth,
 		func(i int, pr *probeResult) (*probeResult, error) {
 			return f.classifyURL(pr), nil
 		})
-	return pipe.Drain(classified, func(i int, pr *probeResult) error {
-		return f.applyProbe(pr, now)
-	})
+	if f.Config.MonitorInterval > 0 {
+		g.monitor = pipe.New(ctx, pipe.Options{
+			Name: "monitor", Registry: f.Metrics.Registry,
+			OnEmit: journalEmit(f.Metrics.Journal, "monitor"),
+		})
+		var checks *pipe.Flow[monitorCheck]
+		g.monitorIn, checks = pipe.Feed[monitorCheck](g.monitor, depth)
+		g.monitorOut = pipe.Stage(checks, "check", workers, depth,
+			func(i int, c monitorCheck) (bool, error) {
+				return f.runCheck(c), nil
+			})
+	}
+	return g
 }
 
 // workers resolves Config.Workers to a concrete pool size.

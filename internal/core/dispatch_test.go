@@ -128,10 +128,24 @@ func TestShardAdoptionByteIdentical(t *testing.T) {
 			resumed = child.Config.Resume
 		}
 	}
-	liveJournal := f.Metrics.Journal
+	j := f.Metrics.Journal
 	study, err := f.Run()
 	if err != nil {
 		t.Fatalf("run with adopted shard failed: %v", err)
+	}
+	// The merge rebuilds the canonical lifecycle in place: the journal a
+	// dashboard was handed before Run holds the merged lifecycle and the
+	// coordinator's shard ops events.
+	if f.Metrics.Journal != j {
+		t.Fatal("Run replaced the journal; holders of the live one lose the merged lifecycle")
+	}
+	counts := j.Counts()
+	if j.Len() == 0 || counts[obs.EvPosted] == 0 {
+		t.Fatalf("journal holds %d lifecycle events after the merge, want the merged lifecycle", j.Len())
+	}
+	if counts[obs.EvShardDispatch] < 3 || counts[obs.EvShardDone] != 2 {
+		t.Fatalf("journal counts %d %s and %d %s ops events, want 3 dispatches and 2 completions",
+			counts[obs.EvShardDispatch], obs.EvShardDispatch, counts[obs.EvShardDone], obs.EvShardDone)
 	}
 
 	// The "never from-scratch" assertion: the replacement attempt started
@@ -145,17 +159,17 @@ func TestShardAdoptionByteIdentical(t *testing.T) {
 	if got := f.Metrics.ShardAdopted.With("1").Value(); got != 1 {
 		t.Fatalf("freephish_shard_adopted_total{shard=1} = %v, want 1", got)
 	}
-	if got := liveJournal.Counts()[obs.EvShardAdopt]; got != 1 {
+	if got := counts[obs.EvShardAdopt]; got != 1 {
 		t.Fatalf("journal recorded %d %s ops events, want 1", got, obs.EvShardAdopt)
 	}
-	if got := liveJournal.Counts()[obs.EvShardCheckpoint]; got == 0 {
+	if got := counts[obs.EvShardCheckpoint]; got == 0 {
 		t.Fatalf("no %s ops events; checkpoint streaming never surfaced", obs.EvShardCheckpoint)
 	}
 	// The child hands each cut over with its instant; the last cut and the
 	// adoption must both name the adopted checkpoint's instant.
 	want := resumed.SimNow.UTC().Format(time.RFC3339)
 	var lastAt, from string
-	for _, ev := range liveJournal.Tail(obs.DefaultJournalRing) {
+	for _, ev := range j.Tail(obs.DefaultJournalRing) {
 		switch {
 		case ev.Type == obs.EvShardCheckpoint && ev.Attrs["shard"] == "1" && ev.Attrs["attempt"] == "0":
 			lastAt = ev.Attrs["at"]
@@ -210,7 +224,6 @@ func TestRemoteShardAdoptionByteIdentical(t *testing.T) {
 			resumed = child.Config.Resume
 		}
 	}
-	liveJournal := f.Metrics.Journal
 	study, err := f.Run()
 	if err != nil {
 		t.Fatalf("run with crashed worker failed: %v", err)
@@ -245,7 +258,7 @@ func TestRemoteShardAdoptionByteIdentical(t *testing.T) {
 	want := resumed.SimNow.UTC().Format(time.RFC3339)
 	var ats []string
 	var from string
-	for _, ev := range liveJournal.Tail(obs.DefaultJournalRing) {
+	for _, ev := range f.Metrics.Journal.Tail(obs.DefaultJournalRing) {
 		switch {
 		case ev.Type == obs.EvShardCheckpoint && ev.Attrs["shard"] == "1" && ev.Attrs["attempt"] == "0":
 			if ats = append(ats, ev.Attrs["at"]); ats[len(ats)-1] == "" || len(ats) > 1 && ats[len(ats)-1] <= ats[len(ats)-2] {

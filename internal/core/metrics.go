@@ -206,22 +206,21 @@ func (f *FreePhish) wireMetrics() {
 	f.poller.ObserveFailure = func(platform threat.Platform, err error) {
 		m.PollFailed.Inc()
 	}
-	// The ops hooks read f.Metrics.Journal at call time rather than
-	// capturing it: a checkpoint resume rebuilds the journal after the
-	// hooks are wired, and the retry/fault events must land in the live
-	// one, not in the construction-time object.
+	// The ops hooks may capture the journal: it lives as long as the
+	// framework, and a resume or merge rebuilds it in place.
+	j := m.Journal
 	if pol := f.retryPol; pol != nil {
 		pol.OnRetry = func(key string, attempt int, delay time.Duration, err error) {
 			m.Retries.With(key).Inc()
 			m.RetryBackoff.Add(delay.Seconds())
-			if j := f.Metrics.Journal; j != nil {
+			if j != nil {
 				j.RecordOps("", obs.EvRetry,
 					"key", key, "attempt", itoa(attempt), "err", err.Error())
 			}
 		}
 		pol.OnGiveUp = func(key string, attempts int, err error) {
 			m.RetryGiveUps.With(key).Inc()
-			if j := f.Metrics.Journal; j != nil {
+			if j != nil {
 				j.RecordOps("", obs.EvGiveUp,
 					"key", key, "attempts", itoa(attempts), "err", err.Error())
 			}
@@ -231,7 +230,7 @@ func (f *FreePhish) wireMetrics() {
 	if f.injector != nil {
 		f.injector.Observe = func(kind, endpoint, key string) {
 			m.FaultsInjected.With(kind).Inc()
-			if j := f.Metrics.Journal; j != nil {
+			if j != nil {
 				j.RecordOps("", obs.EvFault,
 					"kind", kind, "endpoint", endpoint, "key", key)
 			}

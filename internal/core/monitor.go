@@ -1,7 +1,6 @@
 package core
 
 import (
-	"context"
 	"net/http"
 	"sort"
 	"time"
@@ -70,42 +69,29 @@ func (f *FreePhish) monitorFrom(rec *analysis.Record, first time.Time) {
 		ob.MarkProbe()
 		f.Metrics.MonitorProbes.Inc()
 		// Fan the tick's still-pending checks — the live HTTP probe (feed
-		// "") plus one lookup per unlisted blocklist — through the streaming
-		// engine: every check is a read-only port call, so they run
+		// "") plus one lookup per unlisted blocklist — through the run's
+		// monitor graph: every check is a read-only port call, so they run
 		// concurrently, while the Observation mutations happen in the
-		// ordered drain, keeping the record byte-identical to the old
+		// ordered pull, keeping the record byte-identical to the old
 		// sequential loop at every (workers, queue-depth) setting. Monitor
-		// ticks fire from the single-threaded clock and the drain is
+		// ticks fire from the single-threaded clock and the pull is
 		// ordered, so lifecycle events here keep the determinism contract.
-		type check struct{ feed string }
-		checks := make([]check, 0, 1+len(feedNames))
+		checks := make([]monitorCheck, 0, 1+len(feedNames))
 		if ob.HostDownAt.IsZero() {
-			checks = append(checks, check{})
+			checks = append(checks, monitorCheck{rec: rec})
 		}
 		for _, name := range feedNames {
 			if _, seen := ob.Listings[name]; !seen {
-				checks = append(checks, check{feed: name})
+				checks = append(checks, monitorCheck{rec: rec, feed: name})
 			}
 		}
 		if j != nil {
 			j.Record(rec.Target.URL, obs.EvRecheck, now, "checks", itoa(len(checks)))
 		}
 		done := true
-		p := pipe.New(context.Background(), pipe.Options{
-			Name: "monitor", Registry: f.Metrics.Registry,
-			OnEmit: journalEmit(j, "monitor"),
-		})
-		depth := f.queueDepth()
-		st := pipe.Stage(pipe.Source(p, depth, checks), "check", f.workers(), depth,
-			func(i int, c check) (bool, error) {
-				if c.feed == "" {
-					_, status, err := f.world.Snap.Snapshot(rec.Target.URL)
-					return err == nil && status != http.StatusOK, nil
-				}
-				listed, err := f.world.Feeds.Listed(c.feed, rec.Target.URL)
-				return err == nil && listed, nil
-			})
-		_ = pipe.Drain(st, func(i int, hit bool) error {
+		g := f.ensureGraphs()
+		g.monitorIn.Push(checks)
+		_ = pipe.Pull(g.monitorOut, len(checks), func(i int, hit bool) error {
 			switch c := checks[i]; {
 			case !hit:
 				done = false // still up / not yet listed: keep observing
@@ -131,4 +117,23 @@ func (f *FreePhish) monitorFrom(rec *analysis.Record, first time.Time) {
 			stop() // everything observed: no further probes needed
 		}
 	})
+}
+
+// monitorCheck is one item of the monitor graph: a live probe of rec's
+// site (feed "") or a lookup of rec's URL on one blocklist.
+type monitorCheck struct {
+	rec  *analysis.Record
+	feed string
+}
+
+// runCheck is the monitor graph's check stage: it reports whether the
+// site is down or the URL is listed. It issues only read-only port calls.
+func (f *FreePhish) runCheck(c monitorCheck) bool {
+	url := c.rec.Target.URL
+	if c.feed == "" {
+		_, status, err := f.world.Snap.Snapshot(url)
+		return err == nil && status != http.StatusOK
+	}
+	listed, err := f.world.Feeds.Listed(c.feed, url)
+	return err == nil && listed
 }

@@ -46,10 +46,7 @@ func (f *FreePhish) runSharded() (*analysis.Study, error) {
 	}
 	merged := state.Merge(snaps...)
 	f.State.Restore(merged)
-	if f.Metrics.Journal != nil {
-		f.Metrics.Journal = obs.RebuildJournal(
-			f.Clock.Now, obs.DefaultJournalRing, merged.Events)
-	}
+	f.Metrics.Journal.Rebuild(merged.Events)
 	return f.State.Study(), nil
 }
 

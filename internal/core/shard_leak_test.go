@@ -80,10 +80,6 @@ func TestShardRetryDoesNotLeak(t *testing.T) {
 			return &failingStream{inner: s, failAt: 20, err: errors.New("injected mid-run shard failure")}
 		})
 	}
-	// The coordinator's live journal receives the retry ops events; hold it
-	// before Run because the merge replaces Metrics.Journal at the end.
-	liveJournal := f.Metrics.Journal
-
 	study, err := f.Run()
 	if err != nil {
 		t.Fatalf("sharded run with retried shard failed: %v", err)
@@ -127,7 +123,7 @@ func TestShardRetryDoesNotLeak(t *testing.T) {
 	if got := f.Metrics.ShardRetries.With("0").Value(); got != 0 {
 		t.Fatalf("freephish_shard_retries_total{shard=0} = %v, want 0", got)
 	}
-	if got := liveJournal.Counts()[obs.EvShardRetry]; got != failedAttempts {
+	if got := f.Metrics.Journal.Counts()[obs.EvShardRetry]; got != failedAttempts {
 		t.Fatalf("journal recorded %d %s ops events, want %d", got, obs.EvShardRetry, failedAttempts)
 	}
 }

@@ -160,8 +160,8 @@ func NewJournal(simNow func() time.Time, ringCap int) *Journal {
 // in addition to retaining it in memory. Callers own buffering and
 // closing; the first write error is retained and reported by SinkErr.
 // The sink sees events in live recording order; a run that rebuilds its
-// journal into canonical order at the end (see RebuildJournal) may emit
-// an end-of-run file whose line order differs from the live stream.
+// journal into canonical order at the end (see Rebuild) may emit an
+// end-of-run file whose line order differs from the live stream.
 func (j *Journal) SetSink(w io.Writer) {
 	if j == nil {
 		return
@@ -438,23 +438,31 @@ func SortCanonical(events []Event) []Event {
 	return out
 }
 
-// RebuildJournal constructs a journal whose lifecycle sequence is
-// exactly events (typically a SortCanonical result, or a merge of
-// several shards' journals). The per-type counts, per-URL indices, and
-// the dashboard ring are rebuilt from the events; ops events are not
-// carried over (they are scheduler-dependent noise, bounded to the ring
-// of the live run that produced them).
-func RebuildJournal(simNow func() time.Time, ringCap int, events []Event) *Journal {
-	j := NewJournal(simNow, ringCap)
-	for _, ev := range events {
-		j.mu.Lock()
-		ev.Seq = j.seq
-		j.seq++
-		j.counts[ev.Type]++
-		j.byURL[ev.URL] = append(j.byURL[ev.URL], len(j.lifecycle))
-		j.lifecycle = append(j.lifecycle, ev)
-		j.push(ev)
-		j.mu.Unlock()
+// Rebuild replaces the journal's lifecycle sequence with a copy of
+// events (typically a SortCanonical result, or a merge of several shards'
+// journals), renumbering Seq 0..n-1 and rebuilding the per-URL index and
+// the lifecycle types' counts. It works in place, so every holder of the
+// journal — a dashboard, a pipeline's emit hook — sees the rebuilt
+// sequence; the dashboard ring and the ops events' counts are kept, since
+// they record what the live run did.
+func (j *Journal) Rebuild(events []Event) {
+	if j == nil {
+		return
 	}
-	return j
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	for _, ev := range j.lifecycle {
+		if j.counts[ev.Type]--; j.counts[ev.Type] == 0 {
+			delete(j.counts, ev.Type)
+		}
+	}
+	j.lifecycle = append(make([]Event, 0, len(events)), events...)
+	clear(j.byURL)
+	for i := range j.lifecycle {
+		ev := &j.lifecycle[i]
+		ev.Seq = uint64(i)
+		j.counts[ev.Type]++
+		j.byURL[ev.URL] = append(j.byURL[ev.URL], i)
+	}
+	j.seq = uint64(len(j.lifecycle))
 }

@@ -53,6 +53,49 @@ func TestJournalLifecycle(t *testing.T) {
 	}
 }
 
+// TestJournalRebuildInPlace: Rebuild swaps the lifecycle sequence of the
+// same journal for the given events, renumbered, and keeps the ring and
+// the ops events' counts; recording goes on after the rebuilt sequence.
+func TestJournalRebuildInPlace(t *testing.T) {
+	sim := time.Date(2022, 11, 1, 0, 0, 0, 0, time.UTC)
+	j := NewJournal(testClock(sim), 0)
+	j.Record("http://b.weebly.com/", EvPosted, sim)
+	j.RecordOps("", EvShardDispatch, "shard", "0")
+	j.Record("http://a.weebly.com/", EvFetched, sim, "status", "200")
+	merged := []Event{
+		{Seq: 7, Class: ClassLifecycle, Type: EvPosted, URL: "http://a.weebly.com/", Sim: sim},
+		{Seq: 3, Class: ClassLifecycle, Type: EvPosted, URL: "http://c.weebly.com/", Sim: sim},
+	}
+	j.Rebuild(merged)
+	if merged[0].Seq != 7 {
+		t.Fatal("Rebuild renumbered the caller's events")
+	}
+	events := j.Events()
+	if len(events) != 2 || events[0].Seq != 0 || events[1].Seq != 1 || events[1].URL != "http://c.weebly.com/" {
+		t.Fatalf("rebuilt lifecycle = %+v", events)
+	}
+	if tr := j.Trace("http://a.weebly.com/"); len(tr) != 1 || tr[0].Type != EvPosted {
+		t.Fatalf("Trace after Rebuild = %+v", tr)
+	}
+	if tr := j.Trace("http://b.weebly.com/"); len(tr) != 0 {
+		t.Fatalf("a replaced event is still traced: %+v", tr)
+	}
+	counts := j.Counts()
+	if counts[EvPosted] != 2 || counts[EvFetched] != 0 || counts[EvShardDispatch] != 1 {
+		t.Fatalf("Counts after Rebuild = %v, want the rebuilt lifecycle's and the ops events'", counts)
+	}
+	if _, ok := counts[EvFetched]; ok {
+		t.Fatalf("Counts keeps a zero entry for a replaced type: %v", counts)
+	}
+	if tail := j.Tail(10); len(tail) != 3 || tail[1].Type != EvShardDispatch {
+		t.Fatalf("Tail after Rebuild = %+v, want the live ring", tail)
+	}
+	j.Record("http://d.weebly.com/", EvPosted, sim)
+	if events := j.Events(); len(events) != 3 || events[2].Seq != 2 {
+		t.Fatalf("recording after Rebuild = %+v", events)
+	}
+}
+
 // TestJournalOpsClassSeparation verifies ops events never reach the
 // canonical lifecycle sequence — only the ring — and carry their own
 // sequence space.

@@ -54,7 +54,7 @@ func Do(workers, n int, fn func(i int)) {
 		return
 	}
 	p := New(context.Background(), Options{Name: "do"})
-	st := Stage(Range(p, w, n), "do", w, w, func(i, _ int) (struct{}, error) {
+	st := Stage(Source(p, w, make([]struct{}, n)), "do", w, w, func(i int, _ struct{}) (struct{}, error) {
 		fn(i)
 		return struct{}{}, nil
 	})

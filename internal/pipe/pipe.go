@@ -8,12 +8,18 @@
 // by (workers + queue depth), never by input size. MapOrdered and Do (see
 // map.go) are the slice-shaped single-stage case the trainers use.
 //
+// A graph is either one-shot or long-lived. A one-shot graph starts from
+// Source (or Range) and ends in Drain. A long-lived graph starts from
+// Feed and is fed one batch at a time through its Inlet; Pull applies
+// exactly one batch's results, so the graph's goroutines start once and
+// serve every batch. Close ends either kind.
+//
 // The engine carries the repository's concurrency contracts:
 //
 //   - Determinism: the output order is the input order at every (workers,
 //     queue-depth) setting. Parallelism trades wall-clock for cores and
 //     changes nothing observable.
-//   - Lowest-index error: the error returned by Drain/Collect is the one
+//   - Lowest-index error: the error returned by Drain/Pull/Collect is the one
 //     the equivalent sequential loop would have hit first. In the default
 //     fail-fast mode the pipeline cancels as soon as the ordered drain
 //     point reaches a failed item; with Options.ContinueOnError every item
@@ -93,7 +99,9 @@ type Options struct {
 	ContinueOnError bool
 	// OnEmit, when non-nil, observes every in-order emission: it fires on
 	// each stage's reorder-buffer output (so per-stage calls arrive in
-	// input order) and at the drain point with stage "drain". Stages emit
+	// input order) and at the drain point with stage "drain", with the
+	// item's index within its batch (for a Source flow, its sequence
+	// number) and its error. Stages emit
 	// concurrently with each other, so calls for different stages
 	// interleave nondeterministically — OnEmit feeds operational tracing
 	// (the obs journal's ring), never canonical output. It must be safe
@@ -102,8 +110,12 @@ type Options struct {
 }
 
 // Pipeline is one dataflow instance: the shared control plane every stage
-// of a Source → Stage… → Drain chain hangs off. Build one per run with
-// New; a Pipeline is single-use (one source, one drain).
+// of a Source/Feed → Stage… → Drain/Pull chain hangs off. A Pipeline has
+// one source and one ordered sink. When the sink stops — the flow ended,
+// an item failed fail-fast, or a worker panicked — the pipeline is
+// finished: its goroutines have exited, and later Pulls and Drains return
+// the same outcome without applying anything. Close stops it from
+// outside; its sink must not be pulled after that.
 type Pipeline struct {
 	name            string
 	parent          context.Context
@@ -116,6 +128,11 @@ type Pipeline struct {
 
 	mu     sync.Mutex
 	panics []seqPanic
+
+	// finished and termErr belong to the sink's goroutine: set when the
+	// sink stops, they make every later Pull or Drain return termErr.
+	finished bool
+	termErr  error
 }
 
 type seqPanic struct {
@@ -145,7 +162,15 @@ func New(ctx context.Context, opts Options) *Pipeline {
 	}
 }
 
-// goRun tracks a pipeline goroutine so Drain can join everything before
+// Close stops the pipeline and waits for every one of its goroutines to
+// exit: work in flight completes, queued work is dropped. It is safe to
+// call more than once, and after the sink has finished the pipeline.
+func (p *Pipeline) Close() {
+	p.cancel()
+	p.wg.Wait()
+}
+
+// goRun tracks a pipeline goroutine so Close can join everything before
 // returning — the no-leak half of the panic/cancel contract.
 func (p *Pipeline) goRun(fn func()) {
 	p.wg.Add(1)
@@ -180,11 +205,14 @@ func (p *Pipeline) lowestPanic() *PanicError {
 	return best
 }
 
-// item is one sequence-numbered unit of flow. err carries the first stage
-// failure the item hit; later stages pass failed items through untouched
-// so ordering (and lowest-index error selection) is preserved.
+// item is one sequence-numbered unit of flow. seq orders the whole flow
+// and continues across batches; i is the item's index within its batch,
+// the index every callback sees. err carries the first stage failure the
+// item hit; later stages pass failed items through untouched so ordering
+// (and lowest-index error selection) is preserved.
 type item[T any] struct {
 	seq int
+	i   int
 	val T
 	err error
 }
@@ -195,6 +223,7 @@ type Flow[T any] struct {
 	p     *Pipeline
 	ch    chan item[T]
 	depth *obs.Gauge // queue occupancy of ch; nil without a registry
+	next  int        // the sink's next expected seq (terminal flows only)
 }
 
 func newFlow[T any](p *Pipeline, stage string, depth int) *Flow[T] {
@@ -235,14 +264,71 @@ func (f *Flow[T]) recv() (it item[T], ok bool) {
 	}
 }
 
+// Inlet feeds a Feed flow one batch at a time.
+type Inlet[T any] struct {
+	p *Pipeline
+	// batches holds one batch, so a push to an idle source never waits.
+	batches chan []T
+}
+
+// Feed returns a source flow fed batch by batch through the returned
+// Inlet, through a queue of the given depth (0 = DefaultDepth). Each
+// batch's items take the next sequence numbers, so order continues
+// across batches, while stage functions, OnEmit and the sink see each
+// item's index within its own batch. Closing the inlet ends the flow
+// once every pushed item has been sent.
+func Feed[T any](p *Pipeline, depth int) (*Inlet[T], *Flow[T]) {
+	in := &Inlet[T]{p: p, batches: make(chan []T, 1)}
+	return in, feed(p, depth, nil, in.batches)
+}
+
+// Push queues a batch. It waits while an earlier batch is still queued
+// (the source takes a batch once it has sent the one before), so a
+// caller that pulls each batch before it pushes the next never waits.
+// The source reads the batch's elements after Push returns, so the caller
+// must leave them untouched until they have been pulled.
+func (in *Inlet[T]) Push(batch []T) {
+	if len(batch) == 0 {
+		return
+	}
+	select {
+	case in.batches <- batch:
+	case <-in.p.ctx.Done():
+	}
+}
+
+// Close ends the flow after the batches already pushed. Nothing may be
+// pushed after Close.
+func (in *Inlet[T]) Close() { close(in.batches) }
+
 // Source feeds a slice into the pipeline, one sequence number per element
-// starting at 0, through a queue of the given depth (0 = DefaultDepth).
+// starting at 0, through a queue of the given depth (0 = DefaultDepth): a
+// Feed flow fed items and closed, without the inlet.
 func Source[T any](p *Pipeline, depth int, items []T) *Flow[T] {
+	return feed(p, depth, items, nil)
+}
+
+// feed starts the source every flow begins with: it sends first, then
+// each batch received from more until more is closed; a nil more ends
+// the flow after first.
+func feed[T any](p *Pipeline, depth int, first []T, more chan []T) *Flow[T] {
 	f := newFlow[T](p, "source", depth)
 	p.goRun(func() {
 		defer close(f.ch)
-		for i, v := range items {
-			if !f.send(item[T]{seq: i, val: v}) {
+		seq := 0
+		for batch, ok := first, true; ok; {
+			for i, v := range batch {
+				if !f.send(item[T]{seq: seq, i: i, val: v}) {
+					return
+				}
+				seq++
+			}
+			if more == nil {
+				return
+			}
+			select {
+			case batch, ok = <-more:
+			case <-p.ctx.Done():
 				return
 			}
 		}
@@ -250,19 +336,13 @@ func Source[T any](p *Pipeline, depth int, items []T) *Flow[T] {
 	return f
 }
 
-// Range feeds the integers [0, n) into the pipeline — the index-space
-// source Do is built on.
+// Range feeds the integers [0, n) into the pipeline.
 func Range(p *Pipeline, depth, n int) *Flow[int] {
-	f := newFlow[int](p, "source", depth)
-	p.goRun(func() {
-		defer close(f.ch)
-		for i := 0; i < n; i++ {
-			if !f.send(item[int]{seq: i, val: i}) {
-				return
-			}
-		}
-	})
-	return f
+	ints := make([]int, n)
+	for i := range ints {
+		ints[i] = i
+	}
+	return Source(p, depth, ints)
 }
 
 // stageInstruments bundles one stage's auto-registered metrics.
@@ -337,9 +417,9 @@ func Stage[In, Out any](in *Flow[In], stage string, workers, depth int, fn func(
 				if !ok {
 					return
 				}
-				o := item[Out]{seq: it.seq, err: it.err}
+				o := item[Out]{seq: it.seq, i: it.i, err: it.err}
 				if it.err == nil {
-					o.val, o.err = runItem(p, inst, it.seq, it.val, fn)
+					o.val, o.err = runItem(p, inst, it.seq, it.i, it.val, fn)
 				}
 				select {
 				case results <- o:
@@ -375,7 +455,7 @@ func Stage[In, Out any](in *Flow[In], stage string, workers, depth int, fn func(
 					return
 				}
 				if p.onEmit != nil {
-					p.onEmit(stage, head.seq, head.err)
+					p.onEmit(stage, head.i, head.err)
 				}
 				credits <- struct{}{}
 				next++
@@ -394,7 +474,7 @@ func Stage[In, Out any](in *Flow[In], stage string, workers, depth int, fn func(
 				return
 			}
 			if p.onEmit != nil {
-				p.onEmit(stage, seq, buf[seq].err)
+				p.onEmit(stage, buf[seq].i, buf[seq].err)
 			}
 		}
 	})
@@ -403,7 +483,7 @@ func Stage[In, Out any](in *Flow[In], stage string, workers, depth int, fn func(
 
 // runItem executes fn for one item under the panic guard, with the
 // stage's instruments around it.
-func runItem[In, Out any](p *Pipeline, inst *stageInstruments, seq int, v In, fn func(i int, v In) (Out, error)) (out Out, err error) {
+func runItem[In, Out any](p *Pipeline, inst *stageInstruments, seq, i int, v In, fn func(i int, v In) (Out, error)) (out Out, err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			buf := make([]byte, 4096)
@@ -416,11 +496,11 @@ func runItem[In, Out any](p *Pipeline, inst *stageInstruments, seq int, v In, fn
 		return out, p.ctx.Err()
 	}
 	if inst == nil {
-		return fn(seq, v)
+		return fn(i, v)
 	}
 	inst.occupancy.Add(1)
 	start := time.Now()
-	out, err = fn(seq, v)
+	out, err = fn(i, v)
 	inst.latency.Observe(time.Since(start).Seconds())
 	inst.occupancy.Add(-1)
 	inst.items.Inc()
@@ -439,29 +519,54 @@ func runItem[In, Out any](p *Pipeline, inst *stageInstruments, seq int, v In, fn
 // worker panic if one occurred, and otherwise returns the context's error
 // when the pipeline was cancelled externally.
 func Drain[T any](f *Flow[T], fn func(i int, v T) error) error {
+	_, _, err := f.pull(-1, fn)
+	return f.p.finish(err)
+}
+
+// Pull is Drain for one batch of a Feed flow: it applies exactly the next
+// n items in order and returns, leaving the pipeline running for the next
+// batch. A failure finishes the pipeline as Drain does — the lowest-index
+// error is returned (in fail-fast mode, nothing after it is applied, now
+// or in any later batch), a worker panic is re-raised here, and every
+// goroutine has exited before Pull returns. With ContinueOnError, Pull
+// returns the batch's lowest-index error and the pipeline keeps running.
+// A flow that ends before n items finishes the pipeline with an error.
+func Pull[T any](f *Flow[T], n int, fn func(i int, v T) error) error {
+	applied, stop, err := f.pull(n, fn)
+	if !stop {
+		return err
+	}
+	if err = f.p.finish(err); err == nil && applied < n {
+		err = fmt.Errorf("pipe: flow ended after %d of %d items", applied, n)
+	}
+	return err
+}
+
+// pull is the sink loop Drain and Pull share: it applies items in
+// sequence order until n have been applied (n < 0: until the flow ends).
+// stop reports that the pipeline cannot go on — the flow ended, an
+// upstream abort left a gap, or an item failed fail-fast — so the caller
+// must finish it.
+func (f *Flow[T]) pull(n int, fn func(i int, v T) error) (applied int, stop bool, firstErr error) {
 	p := f.p
-	var firstErr error
-	next := 0
-loop:
-	for {
+	if p.finished {
+		return 0, true, nil
+	}
+	for ; n < 0 || applied < n; applied++ {
 		it, ok := f.recv()
-		if !ok {
-			break
-		}
-		if it.seq != next {
+		if !ok || it.seq != f.next {
 			// A gap means an upstream abort (panic or cancellation)
 			// swallowed an item; the sequential loop would have stopped
 			// there, so stop applying here.
-			break
+			return applied, true, firstErr
 		}
-		next++
+		f.next++
 		if p.onEmit != nil {
-			p.onEmit("drain", it.seq, it.err)
+			p.onEmit("drain", it.i, it.err)
 		}
 		switch {
 		case it.err != nil && !p.continueOnError:
-			firstErr = it.err
-			break loop
+			return applied, true, it.err
 		case it.err != nil:
 			if firstErr == nil {
 				firstErr = it.err
@@ -469,12 +574,11 @@ loop:
 			// The MapOrdered contract: the collector still sees the
 			// value the stage returned alongside the error. An fn error
 			// here is subordinate — the item's stage error came first.
-			_ = fn(it.seq, it.val)
+			_ = fn(it.i, it.val)
 		default:
-			if err := fn(it.seq, it.val); err != nil {
+			if err := fn(it.i, it.val); err != nil {
 				if !p.continueOnError {
-					firstErr = err
-					break loop
+					return applied, true, err
 				}
 				if firstErr == nil {
 					firstErr = err
@@ -482,15 +586,28 @@ loop:
 			}
 		}
 	}
-	p.cancel()
-	p.wg.Wait()
+	return applied, false, firstErr
+}
+
+// finish ends the pipeline once its sink stopped with err: it closes the
+// pipeline, re-raises the lowest-index worker panic if one occurred, and
+// otherwise returns err, or the context's error when the pipeline was
+// cancelled externally. Later calls return the first call's outcome.
+func (p *Pipeline) finish(err error) error {
+	if p.finished {
+		return p.termErr
+	}
+	p.finished = true
+	p.Close()
 	if pe := p.lowestPanic(); pe != nil {
+		p.termErr = pe
 		panic(pe)
 	}
-	if firstErr != nil {
-		return firstErr
+	if err == nil {
+		err = p.parent.Err()
 	}
-	return p.parent.Err()
+	p.termErr = err
+	return err
 }
 
 // Collect drains the flow into a slice, preserving input order.

@@ -225,28 +225,217 @@ func TestStalledStageBackpressures(t *testing.T) {
 }
 
 func TestNoGoroutineLeak(t *testing.T) {
-	base := runtime.NumGoroutine()
-	for round := 0; round < 20; round++ {
+	failing := func(i, v int) (int, error) {
+		if i%13 == 0 {
+			return 0, errors.New("planned failure")
+		}
+		return v, nil
+	}
+	nop := func(int, int) error { return nil }
+	// feed builds a long-lived graph and feeds it three batches.
+	feed := func(t *testing.T, fn func(i, v int) (int, error)) (*Pipeline, *Inlet[int], *Flow[int], error) {
 		p := New(context.Background(), Options{})
-		src := Range(p, 4, 50)
-		st := Stage(src, "work", 8, 4, func(i, v int) (int, error) {
-			if i%13 == 0 {
-				return 0, errors.New("planned failure")
+		in, src := Feed[int](p, 4)
+		st := Stage(src, "work", 8, 4, fn)
+		var err error
+		for b := 0; b < 3 && err == nil; b++ {
+			batch := make([]int, 20)
+			in.Push(batch)
+			err = Pull(st, len(batch), nop)
+		}
+		return p, in, st, err
+	}
+	for _, tc := range []struct {
+		name string
+		run  func(t *testing.T)
+	}{
+		{"one-shot failure", func(t *testing.T) {
+			p := New(context.Background(), Options{})
+			st := Stage(Range(p, 4, 50), "work", 8, 4, failing)
+			if err := Drain(st, nop); err == nil {
+				t.Fatal("expected an error")
 			}
-			return v, nil
+		}},
+		{"feed closed and drained", func(t *testing.T) {
+			_, in, st, err := feed(t, func(i, v int) (int, error) { return v, nil })
+			if err != nil {
+				t.Fatal(err)
+			}
+			in.Close()
+			if err := Drain(st, nop); err != nil {
+				t.Fatal(err)
+			}
+		}},
+		{"feed closed while idle", func(t *testing.T) {
+			p, _, _, err := feed(t, func(i, v int) (int, error) { return v, nil })
+			if err != nil {
+				t.Fatal(err)
+			}
+			p.Close()
+		}},
+		{"feed failed pull", func(t *testing.T) {
+			if _, _, _, err := feed(t, failing); err == nil {
+				t.Fatal("expected an error")
+			}
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			base := runtime.NumGoroutine()
+			for round := 0; round < 20; round++ {
+				tc.run(t)
+			}
+			deadline := time.Now().Add(2 * time.Second)
+			for time.Now().Before(deadline) {
+				if runtime.NumGoroutine() <= base+2 {
+					return
+				}
+				time.Sleep(10 * time.Millisecond)
+			}
+			t.Fatalf("goroutines leaked: started with %d, now %d", base, runtime.NumGoroutine())
 		})
-		if err := Drain(st, func(int, int) error { return nil }); err == nil {
-			t.Fatal("expected an error")
+	}
+}
+
+// feedGraph builds a long-lived two-stage graph whose stages stagger
+// completion, so the reorder buffers work across batch boundaries. The
+// second stage panics on a value of panicAt (never when negative) and
+// fails on any value in failAt; OnEmit records each stage's indices.
+func feedGraph(workers, depth, panicAt int, failAt map[int]bool, emits map[string][]int, mu *sync.Mutex) (*Inlet[int], *Flow[int]) {
+	p := New(context.Background(), Options{
+		Name: "feed",
+		OnEmit: func(stage string, i int, err error) {
+			mu.Lock()
+			emits[stage] = append(emits[stage], i)
+			mu.Unlock()
+		},
+	})
+	in, src := Feed[int](p, depth)
+	st1 := Stage(src, "a", workers, depth, func(i, v int) (int, error) {
+		if v%5 == 0 {
+			time.Sleep(time.Duration(v%4) * 50 * time.Microsecond)
+		}
+		return v, nil
+	})
+	st2 := Stage(st1, "b", workers, depth, func(i, v int) (int, error) {
+		if v == panicAt {
+			panic("boom")
+		}
+		if failAt[v] {
+			return 0, fmt.Errorf("item %d failed", v)
+		}
+		return v, nil
+	})
+	return in, st2
+}
+
+// TestFeedBatchesContinueSequence is the long-lived graph's contract:
+// batches of 0, 1 and more than Workers+depth items, each pulled in full
+// before the next is pushed, come out in feed order, the sink's sequence
+// number continues across batches, and every callback sees an item's
+// index within its own batch.
+func TestFeedBatchesContinueSequence(t *testing.T) {
+	const workers, depth = 4, 2
+	sizes := []int{0, 1, 13, 0, 1, 40, workers + depth + 1, 0, 25}
+	var mu sync.Mutex
+	emits := map[string][]int{}
+	in, out := feedGraph(workers, depth, -1, nil, emits, &mu)
+	next := 0
+	var wantIdx []int
+	for b, n := range sizes {
+		batch := make([]int, n)
+		for i := range batch {
+			batch[i] = next + i
+			wantIdx = append(wantIdx, i)
+		}
+		in.Push(batch)
+		applied := 0
+		err := Pull(out, n, func(i, v int) error {
+			if i != applied || v != next+applied {
+				t.Fatalf("batch %d: pulled (i=%d, v=%d) at position %d, want (i=%d, v=%d)", b, i, v, applied, applied, next+applied)
+			}
+			applied++
+			return nil
+		})
+		if err != nil || applied != n {
+			t.Fatalf("batch %d: Pull = %v after %d of %d items", b, err, applied, n)
+		}
+		next += n
+		if out.next != next {
+			t.Fatalf("batch %d: sink sequence at %d, want %d: seq must continue across batches", b, out.next, next)
 		}
 	}
-	deadline := time.Now().Add(2 * time.Second)
-	for time.Now().Before(deadline) {
-		if runtime.NumGoroutine() <= base+2 {
-			return
-		}
-		time.Sleep(10 * time.Millisecond)
+	in.Close()
+	if err := Drain(out, func(i, v int) error {
+		t.Fatalf("drained item %d after every batch was pulled", v)
+		return nil
+	}); err != nil {
+		t.Fatalf("Drain after Close = %v", err)
 	}
-	t.Fatalf("goroutines leaked: started with %d, now %d", base, runtime.NumGoroutine())
+	for _, stage := range []string{"a", "b", "drain"} {
+		if !reflect.DeepEqual(emits[stage], wantIdx) {
+			t.Fatalf("stage %q emitted indices %v, want each batch's indices in order %v", stage, emits[stage], wantIdx)
+		}
+	}
+}
+
+// TestFeedFailureStopsLaterBatches: a fail-fast failure in batch k is
+// reported at its lowest index, nothing from its index on is applied, and
+// no later batch is ever applied.
+func TestFeedFailureStopsLaterBatches(t *testing.T) {
+	var mu sync.Mutex
+	in, out := feedGraph(4, 2, -1, map[int]bool{27: true, 24: true, 40: true}, map[string][]int{}, &mu)
+	var applied []int
+	apply := func(i, v int) error {
+		applied = append(applied, v)
+		return nil
+	}
+	for b, span := range [][2]int{{0, 10}, {10, 20}, {20, 30}, {30, 45}} {
+		var batch []int
+		for v := span[0]; v < span[1]; v++ {
+			batch = append(batch, v)
+		}
+		in.Push(batch)
+		err := Pull(out, len(batch), apply)
+		if b < 2 && err != nil {
+			t.Fatalf("batch %d: %v", b, err)
+		}
+		if b >= 2 && (err == nil || err.Error() != "item 24 failed") {
+			t.Fatalf("batch %d: Pull = %v, want batch 2's lowest-index error", b, err)
+		}
+	}
+	if len(applied) != 24 || applied[23] != 23 {
+		t.Fatalf("applied %v, want exactly the 24 items before the failure", applied)
+	}
+}
+
+// TestFeedWorkerPanicReraised: a worker panic in batch k is re-raised as
+// a *PanicError on the pulling goroutine, after every earlier batch was
+// applied in full.
+func TestFeedWorkerPanicReraised(t *testing.T) {
+	var mu sync.Mutex
+	in, out := feedGraph(4, 2, 17, nil, map[string][]int{}, &mu)
+	applied := 0
+	defer func() {
+		pe, ok := recover().(*PanicError)
+		if !ok || pe.Value != "boom" {
+			t.Fatalf("recovered %v, want the worker's *PanicError", pe)
+		}
+		if applied < 15 || applied > 17 {
+			t.Fatalf("applied %d items, want both earlier batches (15) and nothing at or after the panic", applied)
+		}
+	}()
+	for _, n := range []int{5, 10, 10, 10} {
+		batch := make([]int, n)
+		for i := range batch {
+			batch[i] = applied + i
+		}
+		in.Push(batch)
+		_ = Pull(out, n, func(i, v int) error {
+			applied++
+			return nil
+		})
+	}
+	t.Fatal("the worker panic was never re-raised")
 }
 
 func TestStageMetricsRegistered(t *testing.T) {
